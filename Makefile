@@ -1,6 +1,6 @@
 # Convenience targets for the vRead reproduction.
 
-.PHONY: install test lint analyze chaos bench bench-quick bench-pr5 bench-pr5-quick bench-kernel bench-kernel-quick load-smoke load-bench storage-smoke storage-bench churn-smoke churn-bench profile bench-tables report paper-report quick-report demo clean
+.PHONY: install test lint analyze chaos bench bench-smoke load-smoke storage-smoke churn-smoke profile bench-tables report paper-report quick-report demo clean
 
 install:
 	python setup.py develop
@@ -22,55 +22,25 @@ chaos:
 	PYTHONPATH=src python -m pytest tests/faults -q
 	PYTHONPATH=src python examples/failure_drill.py
 
+# End-to-end benchmark: five workloads, five run-level metrics, digest
+# pins (see benchmarks/e2e/README.md); bench-smoke is the CI profile.
 bench:
-	python benchmarks/perf/bench_pr3.py --out BENCH_pr3.json
+	python3 benchmarks/e2e/bench.py
 
-bench-quick:
-	python benchmarks/perf/bench_pr3.py --quick --out BENCH_pr3.json
+bench-smoke:
+	PYTHONPATH=src python -m pytest benchmarks/e2e -q
+	python3 benchmarks/e2e/bench.py --workload churn --runs 1 --check
 
-bench-pr5:
-	PYTHONPATH=src python benchmarks/perf/bench_pr5.py --out BENCH_pr5.json
-
-bench-pr5-quick:
-	PYTHONPATH=src python benchmarks/perf/bench_pr5.py --quick --out BENCH_pr5.json
-
-# Timer-wheel kernel + epoch-coalescing harness: storms wheel-vs-heap,
-# experiments all-fast vs the full reference configuration, and a
-# contended rack point (see docs/performance.md).
-bench-kernel:
-	PYTHONPATH=src python benchmarks/perf/bench_pr10.py --out BENCH_pr10.json
-
-bench-kernel-quick:
-	PYTHONPATH=src python benchmarks/perf/bench_pr10.py --quick --out BENCH_pr10.json
-
-# Open-loop load harness: RSS-flatness + jobs-N determinism gates
-# (see docs/load.md); load-smoke is the CI profile.
+# Subsystem smokes: the load, tiered-storage and elastic-membership
+# suites, including their determinism and memory-flatness gates.
 load-smoke:
-	PYTHONPATH=src python benchmarks/perf/bench_pr7.py --quick --out BENCH_pr7.json
 	PYTHONPATH=src python -m pytest tests/load tests/metrics/test_sinks.py -q
 
-load-bench:
-	PYTHONPATH=src python benchmarks/perf/bench_pr7.py --out BENCH_pr7.json
-
-# Tiered-storage harness: device-tier determinism, hot-placement +
-# stream-digest reproducibility, flat-RSS appends (see docs/storage.md);
-# storage-smoke is the CI profile.
 storage-smoke:
-	PYTHONPATH=src python benchmarks/perf/bench_pr8.py --quick --out BENCH_pr8.json
 	PYTHONPATH=src python -m pytest tests/storage tests/cluster/test_storage_tiers.py tests/properties/test_stream_properties.py -q
 
-storage-bench:
-	PYTHONPATH=src python benchmarks/perf/bench_pr8.py --out BENCH_pr8.json
-
-# Elastic-membership harness: churn-sweep jobs-N determinism, daemon
-# crash -> re-probe -> recovery gates, churn-free neutrality (see
-# docs/elasticity.md); churn-smoke is the CI profile.
 churn-smoke:
-	PYTHONPATH=src python benchmarks/perf/bench_pr9.py --quick --out BENCH_pr9.json
 	PYTHONPATH=src python -m pytest tests/cluster/test_membership.py tests/load/test_autoscale.py tests/experiments/test_scale_churn.py -q
-
-churn-bench:
-	PYTHONPATH=src python benchmarks/perf/bench_pr9.py --out BENCH_pr9.json
 
 # Usage: make profile [EXP=fig11] [PROFILE_FLAGS="--quick --memory"]
 EXP ?= fig11

@@ -5,8 +5,9 @@ request outcomes into — a :class:`~repro.metrics.sinks.LogHistogram` for
 latency quantiles and two :class:`~repro.metrics.sinks.WindowedCounter`
 instances (completions and deadline misses) for goodput and violation
 timelines.  Memory is bounded regardless of request count, which is what
-lets the open-loop harness run millions of samples with flat RSS
-(``benchmarks/perf/bench_pr7.py`` gates this).
+lets the open-loop generator run millions of samples with flat memory
+(``tests/load/test_generator.py`` gates this; ``benchmarks/e2e`` tracks
+``peak_rss_mb`` end to end).
 
 :class:`SloReport` reduces the sinks to a plain dataclass of primitives:
 per-tenant p50/p99/p99.9 latency, goodput, and the SLO-violation time

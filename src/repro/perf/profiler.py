@@ -11,8 +11,9 @@ The harness answers the two questions that matter for simulator speed:
 
 Everything runs in-process and serially (``jobs`` is forced to 1): a
 worker-pool fan-out would escape both cProfile and the kernel counters.
-Use ``benchmarks/perf/bench_pr5.py`` for subprocess-isolated wall-clock
-comparisons; use this harness to understand *why* a number moved.
+Use ``benchmarks/e2e/bench.py`` for subprocess-isolated wall-clock
+comparisons between commits; use this harness to understand *why* a
+number moved.
 """
 
 from __future__ import annotations

@@ -22,9 +22,8 @@ the wall-clock of the simulator process.
 
 ``use_legacy_buffers(True)`` (or ``REPRO_LEGACY_BUFFERS=1``) routes
 ``read``/``checksum`` through the original ``bytes``-slicing
-implementations; the property tests and the PR 3 benchmark harness use the
-toggle to prove the two planes are byte-identical and to measure the
-speedup honestly.
+implementations; the property and equivalence tests use the toggle to
+prove the two planes are byte-identical.
 """
 
 from __future__ import annotations
@@ -67,13 +66,17 @@ class legacy_buffers:
 
 
 class ByteSource:
-    """Abstract offset-addressable, immutable byte content."""
+    """Abstract offset-addressable byte content."""
+
+    #: True when the bytes can change after creation (the source resolves
+    #: through a live file inode); such sources never memoize a digest.
+    _live = False
 
     def __init__(self, size: int):
         if size < 0:
             raise ValueError(f"negative size {size}")
         self.size = size
-        #: Memoized full-content checksum (contents are immutable).
+        #: Memoized full-content checksum (immutable sources only).
         self._checksum_hex = None
 
     def read(self, offset: int, length: int) -> bytes:
@@ -105,32 +108,24 @@ class ByteSource:
 
     # ------------------------------------------------------- view coalescing
     def _view_key(self):
-        """``(backing store, absolute offset)`` when this source is a
-        contiguous window into another store, else ``None``.
+        """``(store, absolute offset)``: this source is the window of
+        ``store`` that starts at that offset and spans ``self.size`` bytes.
 
-        View sources resolve transitively, so a slice of a slice of an
-        inode range all map to the same backing store.
-        :class:`ConcatSource` uses this to recognise a run of adjacent
-        windows (e.g. the per-chunk slices a vRead daemon streams through
-        the ring) as one region of the backing store, so a checksum over
-        the concat can reuse the backing store's memoized digest instead
-        of regenerating every byte.
+        A store (a source that is no window) answers ``(self, 0)``.  Views
+        resolve transitively and at call time, so a slice of an inode range
+        over packets sliced from one writer source, or a concat of adjacent
+        such windows, all map to the writer source itself.
         """
-        return None
-
-    def _make_range(self, offset: int, size: int) -> "ByteSource":
-        """A source covering ``size`` bytes of this store at ``offset``
-        (coalescing support; backing stores implement this)."""
-        if offset == 0 and size == self.size:
-            return self
-        return SliceSource(self, offset, size)
+        return (self, 0)
 
     def checksum(self, chunk: int = _CHUNK) -> str:
         """SHA-256 of the whole content (streamed; safe for lazy sources).
 
-        The fast plane streams through one reusable buffer (an incremental
-        checksum: no per-chunk bytes objects); results are memoized because
-        sources are immutable.
+        One rule on the fast plane: a source that resolves to a whole
+        store returns that store's memoized digest (the stored block
+        checksum HDFS verifies against instead of re-hashing); any other
+        source streams through one reusable buffer, and memoizes the
+        result unless its bytes can change.
         """
         digest = hashlib.sha256()
         if _legacy_buffers:
@@ -142,6 +137,10 @@ class ByteSource:
             return digest.hexdigest()
         if self._checksum_hex is not None:
             return self._checksum_hex
+        store, start = self._view_key()
+        if store is not self and start == 0 and store.size == self.size \
+                and isinstance(store, ByteSource):
+            return store.checksum(chunk)
         buf = bytearray(min(chunk, max(1, self.size)))
         view = memoryview(buf)
         offset = 0
@@ -149,6 +148,8 @@ class ByteSource:
             n = self.readinto(offset, view[:min(chunk, self.size - offset)])
             digest.update(view[:n])
             offset += n
+        if self._live:
+            return digest.hexdigest()
         self._checksum_hex = digest.hexdigest()
         return self._checksum_hex
 
@@ -191,8 +192,8 @@ class PatternSource(ByteSource):
     by ``(seed, size)`` (two sweep points with the same payload spec
     synthesize once).  Content is identical either way — the cache holds
     exactly the bytes the streaming synthesis produces — and the legacy
-    plane (``REPRO_LEGACY_BUFFERS``) never materializes, so the PR 3
-    equivalence harness keeps proving byte-identity.  Larger sources keep
+    plane (``REPRO_LEGACY_BUFFERS``) never materializes, so the
+    equivalence tests keep proving byte-identity.  Larger sources keep
     the original promise: any range on demand, never the whole file.
     """
 
@@ -344,6 +345,7 @@ class ConcatSource(ByteSource):
         parts = [p for p in parts if p.size > 0]
         super().__init__(sum(p.size for p in parts))
         self._parts = parts
+        self._live = any(p._live for p in parts)
 
     def read(self, offset: int, length: int) -> bytes:
         n = self._clamp(offset, length)
@@ -390,39 +392,18 @@ class ConcatSource(ByteSource):
             pos += part_size
         return n
 
-    def _coalesced(self):
-        """The parts merged into one window when they are adjacent views
-        of the same backing store (``None`` otherwise)."""
-        first = self._parts[0]
-        key = first._view_key()
-        if key is None:
-            return None
-        backing, start = key
-        cursor = start + first.size
-        for part in self._parts[1:]:
-            part_key = part._view_key()
-            if part_key is None or part_key[0] is not backing \
-                    or part_key[1] != cursor:
-                return None
+    def _view_key(self):
+        # Parts that are adjacent windows of one store (a block streamed
+        # packet by packet, a file read request by request) are one window.
+        store = start = cursor = None
+        for part in self._parts:
+            part_store, part_start = part._view_key()
+            if store is None:
+                store, start, cursor = part_store, part_start, part_start
+            elif part_store is not store or part_start != cursor:
+                return (self, 0)
             cursor += part.size
-        return backing._make_range(start, self.size)
-
-    def checksum(self, chunk: int = _CHUNK) -> str:
-        # A single-part concat has the part's exact content; reuse (and
-        # populate) that source's memoized digest.  Multi-part concats of
-        # adjacent windows (a block streamed chunk-by-chunk through a ring)
-        # coalesce back into one window of the backing store first.
-        if not _legacy_buffers:
-            if self._checksum_hex is not None:
-                return self._checksum_hex
-            if len(self._parts) == 1:
-                self._checksum_hex = self._parts[0].checksum(chunk)
-                return self._checksum_hex
-            merged = self._coalesced() if self._parts else None
-            if merged is not None:
-                self._checksum_hex = merged.checksum(chunk)
-                return self._checksum_hex
-        return super().checksum(chunk)
+        return (self, 0) if store is None else (store, start)
 
 
 class SliceSource(ByteSource):
@@ -434,6 +415,7 @@ class SliceSource(ByteSource):
         super().__init__(size)
         self._base = base
         self._offset = offset
+        self._live = base._live
 
     def read(self, offset: int, length: int) -> bytes:
         n = self._clamp(offset, length)
@@ -444,16 +426,6 @@ class SliceSource(ByteSource):
         n = self._clamp(offset, len(view))
         return self._base.readinto(self._offset + offset, view[:n])
 
-    def checksum(self, chunk: int = _CHUNK) -> str:
-        # A whole-source window has the base's exact content.
-        if self._offset == 0 and self.size == self._base.size \
-                and not _legacy_buffers:
-            return self._base.checksum(chunk)
-        return super().checksum(chunk)
-
     def _view_key(self):
-        base_key = self._base._view_key()
-        if base_key is not None:
-            backing, base_offset = base_key
-            return (backing, base_offset + self._offset)
-        return (self._base, self._offset)
+        store, start = self._base._view_key()
+        return (store, start + self._offset)

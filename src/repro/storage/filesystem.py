@@ -117,11 +117,6 @@ class Inode:
         self.parts.clear()
         self.size = 0
 
-    def _make_range(self, offset: int, size: int) -> "InodeRangeSource":
-        """Coalescing support: a source over ``size`` bytes at ``offset``
-        (see :meth:`repro.storage.content.ByteSource._view_key`)."""
-        return InodeRangeSource(self, offset, size)
-
     def __repr__(self) -> str:
         return f"<Inode #{self.number} {self.kind} size={self.size}>"
 
@@ -131,8 +126,11 @@ class InodeRangeSource(ByteSource):
 
     Used to move file data through the simulated data plane (sockets, rings)
     without materializing it.  The size is snapshotted at creation, which is
-    safe for HDFS's write-once blocks.
+    safe for HDFS's write-once blocks; the bytes are read live, so a view
+    never memoizes a digest.
     """
+
+    _live = True
 
     def __init__(self, inode: Inode, offset: int = 0,
                  size: Optional[int] = None):
@@ -156,24 +154,27 @@ class InodeRangeSource(ByteSource):
         n = self._clamp(offset, len(view))
         return self._inode.readinto(self._offset + offset, view[:n])
 
-    def checksum(self, chunk: int = 1 << 20) -> str:
-        # A view over one whole part (typical for write-once HDFS block
-        # files backed by a single source) has that part's exact content —
-        # reuse its memoized digest instead of regenerating lazy bytes.
-        # A whole-file view over many parts (one per write packet) tries
-        # the same through ConcatSource's view coalescing: packets sliced
-        # from one writer source merge back into that source's digest.
-        if not _content.legacy_buffers_enabled() and self._offset == 0:
-            parts = self._inode.parts
-            if parts and len(parts) == 1 and self.size == parts[0].size:
-                return parts[0].checksum(chunk)
-            if parts and self.size == self._inode.size:
-                merged = _content.ConcatSource(parts)._coalesced()
-                if merged is not None and merged is not self:
-                    return merged.checksum(chunk)
-        return super().checksum(chunk)
-
     def _view_key(self):
+        # Resolved through the inode's parts as they are now: a range over
+        # adjacent windows of one store (write packets sliced from one
+        # writer source, or a re-replicated copy of such a file) is a
+        # window of that store; otherwise it is a window of the inode.
+        start, end = self._offset, self._offset + self.size
+        store = window = cursor = None
+        pos = 0
+        for part in self._inode.parts:
+            part_end = pos + part.size
+            if part_end > start and pos < end:
+                part_store, part_start = part._view_key()
+                if store is None:
+                    store, cursor = part_store, part_start + start - pos
+                    window = (store, cursor)
+                elif part_store is not store or part_start != cursor:
+                    break
+                cursor = part_start + part_end - pos
+            pos = part_end
+            if pos >= end:
+                return window or (self._inode, self._offset)
         return (self._inode, self._offset)
 
 

@@ -9,7 +9,7 @@ from scheduling order.
 import pytest
 
 from repro.cli import EXPERIMENTS
-from repro.experiments import registry, runner
+from repro.experiments import dfsio_sweep, registry, runner
 
 # Small enough to keep the fork+simulate round under a few seconds.
 _CHAOS_PARAMS = {"cases": 3, "file_bytes": 1 << 20, "faults": 2,
@@ -45,6 +45,22 @@ def test_parallel_storage_tiers_matches_serial_byte_for_byte():
     for mode in ("vanilla", "vRead"):
         cold = serial.series[f"{mode} cold"]
         assert cold[0] < cold[1] < cold[2]  # hdd < ssd < nvme
+    # ...and vRead's cold-read gain grows with media speed: the device
+    # stops hiding the CPU cost vRead removes.
+    gains = [v / b for v, b in zip(serial.series["vRead cold"],
+                                   serial.series["vanilla cold"])]
+    assert gains[0] < gains[-1]
+
+
+@pytest.mark.parametrize("name", ["fig11", "scale-racks", "scale-churn"])
+def test_fanned_out_quick_profile_matches_serial(monkeypatch, name):
+    # The dfsio sweep memoizes cells per process; forked workers would
+    # inherit the serial run's memo, so each run starts from an empty one.
+    monkeypatch.setattr(dfsio_sweep, "_cache", {})
+    serial = runner.run_experiment(name, profile="quick", jobs=1, seed=0)
+    monkeypatch.setattr(dfsio_sweep, "_cache", {})
+    parallel = runner.run_experiment(name, profile="quick", jobs=2, seed=0)
+    assert runner.canonical_json(serial) == runner.canonical_json(parallel)
 
 
 def test_root_seed_changes_the_sweep():

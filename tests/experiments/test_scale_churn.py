@@ -62,3 +62,16 @@ def test_registered_in_extension_group():
     assert quick["churn_levels"] == ("none", "migrate")
     full = spec.params("default")
     assert full["churn_levels"] == ("none", "migrate", "full")
+
+
+def test_full_churn_point_degrades_recovers_and_repairs():
+    point = _measure(True, "full", 1 << 20, 1.5, seed=1)
+    # Section 6 end to end: the daemon crash degrades the library, the
+    # re-probe loop finds the restarted daemon inside the window...
+    assert 0.0 < point.degraded_fraction < 0.8
+    assert point.reprobes >= 1
+    assert point.recoveries >= 1
+    # ...and the decommission drains replicas while the join and the
+    # migration each bump the membership version.
+    assert point.re_replications >= 1
+    assert point.membership_version >= 3

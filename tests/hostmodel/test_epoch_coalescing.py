@@ -12,11 +12,14 @@ capped tapes, chained epochs, frequency changes, and interrupts.
 
 import pytest
 
+from repro.cluster import VirtualHadoopCluster, rack_cluster
+from repro.cluster.topology import VmSpec
 from repro.hostmodel.costs import CostModel
 from repro.hostmodel.cpu import (CpuScheduler, _Epoch, epoch_coalescing,
                                  epoch_stats, legacy_slices)
 from repro.metrics.accounting import CpuAccounting
-from repro.sim import Interrupt, Simulator
+from repro.sim import AllOf, Interrupt, Simulator
+from repro.storage.content import PatternSource
 
 # Real switch costs so 'others' charges discriminate schedules; no wake
 # stacking so the contended rotation is deterministic across modes.
@@ -169,3 +172,53 @@ def test_epoch_stats_keys_are_stable():
                           "epochs_demoted", "epochs_rejected",
                           "epoch_records"}
     assert all(isinstance(value, int) for value in stats.values())
+
+
+def _contended_rack_point(epochs, horizon=0.5, hogs_per_host=6):
+    """Checksum-verified reads on a rack whose hosts are oversubscribed by
+    lookbusy VMs, then run to a fixed horizon: the final clock, the
+    verdicts and every host's accounting."""
+    with epoch_coalescing(epochs):
+        topology = rack_cluster(1, 2, clients=2)
+        for rack in topology.racks:
+            for host in rack.hosts:
+                for j in range(hogs_per_host):
+                    host.add(VmSpec(f"{host.name}-bg{j + 1}", "background"))
+        cluster = VirtualHadoopCluster(block_size=1 << 20, replication=2,
+                                       vread=True, topology=topology)
+        sim = cluster.sim
+        payloads = [PatternSource(1 << 20, seed=80 + i)
+                    for i in range(len(cluster.client_vms))]
+
+        def load():
+            for i, payload in enumerate(payloads):
+                yield from cluster.write_dataset(f"/racks/f{i}", payload)
+
+        cluster.run(sim.process(load()))
+        # No settle(): the lookbusy hogs never quiesce.
+        clients = [cluster.clients.get(vm=vm) for vm in cluster.client_vms]
+        verdicts = []
+
+        def reader(client, index):
+            source = yield from client.read_file(f"/racks/f{index}", 1 << 20)
+            verdicts.append(source.checksum() == payloads[index].checksum())
+
+        def job():
+            yield AllOf(sim, [sim.process(reader(client, i))
+                              for i, client in enumerate(clients)])
+
+        cluster.run(sim.process(job()))
+        sim.run(until=sim.now + horizon)
+        for hog in cluster.lookbusy:
+            hog.stop()
+        return (sim.now, verdicts,
+                {host.name: sorted(host.accounting.snapshot().items())
+                 for host in cluster.hosts})
+
+
+def test_contended_cluster_point_equals_slice_granular_run():
+    formed = epoch_stats()["epochs_formed"]
+    on = _contended_rack_point(epochs=True)
+    assert epoch_stats()["epochs_formed"] > formed  # really contended
+    assert on == _contended_rack_point(epochs=False)
+    assert on[1] == [True, True]

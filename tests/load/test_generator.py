@@ -1,5 +1,7 @@
 """Tests for the open-loop LoadGenerator (synthetic and cluster modes)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.cluster import VirtualHadoopCluster, paper_fig10
@@ -34,6 +36,23 @@ def test_synthetic_is_deterministic_and_open_loop():
     row = first.tenant("tenant1")
     assert row.arrivals == pytest.approx(400, rel=0.2)
     assert row.completions == row.arrivals  # synthetic serves everything
+
+
+def test_synthetic_memory_is_bounded_by_the_sinks_not_the_samples():
+    def peak_bytes(samples):
+        rate = 10_000.0
+        tenants = default_tenants(1, rate=rate, deadline_seconds=0.005,
+                                  n_keys=64)
+        tracemalloc.start()
+        try:
+            LoadGenerator(tenants, seed=1).run_synthetic(samples / rate)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Retaining anything per sample (even one 8-byte slot) would cost
+    # more than 4 bytes for each of the extra 90,000 samples.
+    assert peak_bytes(100_000) - peak_bytes(10_000) < 4 * 90_000
 
 
 def test_synthetic_latency_grows_with_load():

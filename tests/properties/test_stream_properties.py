@@ -5,6 +5,8 @@ position, sealed extents never change, appends are atomic (never span
 extents), and digests are pure functions of the append sequence.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,3 +148,21 @@ def test_layer_digest_depends_only_on_append_sequence(sizes):
         return layer
 
     assert build().digest() == build().digest()
+
+
+def test_virtual_append_memory_does_not_grow_per_record():
+    def peak_bytes(records):
+        tracemalloc.start()
+        try:
+            layer = StreamLayer(["dn1", "dn2", "dn3"], replication=2,
+                                extent_bytes=64 << 20)
+            for index in range(records):
+                layer.get_or_create(f"/f{index % 16}").append_virtual(
+                    4 << 10, fingerprint=index.to_bytes(8, "big"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 4 KB records keep the extent count tiny, so any growth is per-record
+    # state, which a retain=False layer must not keep.
+    assert peak_bytes(100_000) - peak_bytes(10_000) < 4 * 90_000

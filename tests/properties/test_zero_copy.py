@@ -9,7 +9,9 @@ offset/length windows — including page- and pattern-block-aligned
 boundaries — and require byte-for-byte and digest-for-digest agreement.
 """
 
-from hypothesis import given, settings
+import hashlib
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.storage.content import (
@@ -149,6 +151,147 @@ def test_inode_range_source_window_reads(case):
         return
     view = InodeRangeSource(inode, offset, inode.size - offset)
     assert view.read(0, length) == inode.read(offset, n)
+
+
+# ------------------------------------------------------------- digest reuse
+# A layout is a list of steps that build block files and views over them:
+#   ("append", kind, file, store, a, b) appends to file ``file`` (a new one
+#       when the index is past the end): kind "store" is one window of a
+#       store at a random offset (non-adjacent windows), "packets" is the
+#       store's next window cut into write packets (a file written across
+#       several block files), "file" is a range of an earlier file (a
+#       re-replicated copy: a view of views);
+#   ("view", kind, index, a, b) adds a view: "range" over a file, "slice"
+#       of a view, "concat" of 1-3 views (nested concats), "split" of a view
+#       into slices (a file read request by request);
+#   ("rewrite", file, store, a, b) truncates a file and re-appends other
+#       bytes, never fewer than before, after views over it were taken.
+# ``a``/``b`` pick windows (a % 3 == 0 is the whole source) and how a
+# window is cut into pieces (see ``_pieces``).
+_N = 1 << 16
+_steps = st.one_of(
+    st.tuples(st.just("append"),
+              st.sampled_from(["store", "packets", "file"]),
+              st.integers(0, 3), st.integers(0, 2),
+              st.integers(0, _N), st.integers(0, _N)),
+    st.tuples(st.just("view"),
+              st.sampled_from(["range", "slice", "concat", "split"]),
+              st.integers(0, 7), st.integers(0, _N), st.integers(0, _N)),
+    st.tuples(st.just("rewrite"), st.integers(0, 3), st.integers(0, 2),
+              st.integers(0, _N), st.integers(0, _N)),
+)
+
+
+def _window(size, a, b):
+    if a % 3 == 0:
+        return 0, size
+    offset = a % size
+    return offset, 1 + b % (size - offset)
+
+
+def _pieces(base, offset, n, a):
+    """``base[offset:offset + n]`` cut into 1-4 slices, in order (adjacent
+    windows) or permuted or repeated (non-adjacent windows that may still
+    add up to the whole store)."""
+    k = min(n, 1 + a % 4)
+    size = n // k
+    cuts = [(offset + j * size, size if j < k - 1 else n - j * size)
+            for j in range(k)]
+    stride = a // 4
+    return [SliceSource(base, *cuts[j * stride % k]) for j in range(k)]
+
+
+def _assert_digests_match_bytes(views, chunk):
+    for view in views:
+        expected = hashlib.sha256(view.read(0, view.size)).hexdigest()
+        assert view.checksum(chunk) == expected
+        with legacy_buffers():
+            assert view.checksum(chunk) == expected
+
+
+def _play(steps, chunk):
+    """Build the layout step by step; after every step each view's digest
+    must equal the hash of its current bytes on both data planes."""
+    # Store sizes divide by 2, 3 and 4, so repeated pieces can add up to
+    # a whole store.
+    stores = [PatternSource(3 * PAGE_SIZE, seed=11),
+              LiteralSource(bytes(i * 7 % 251 for i in range(PAGE_SIZE + 8))),
+              ZeroSource(2 * PAGE_SIZE)]
+    cursors = [0] * len(stores)
+    files, views = [], []
+    for step in steps:
+        op = step[0]
+        written = [inode for inode in files if inode.size]
+        if op == "append":
+            _, kind, f, s, a, b = step
+            if f >= len(files):
+                files.append(Inode("file"))
+                f = len(files) - 1
+            inode = files[f]
+            if kind == "file" and written:
+                source = written[s % len(written)]
+                inode.append(InodeRangeSource(
+                    source, *_window(source.size, a, b)))
+            elif kind == "packets":
+                store = stores[s]
+                offset = cursors[s] % store.size
+                n = store.size - offset if a % 3 == 0 \
+                    else 1 + b % (store.size - offset)
+                cursors[s] = offset + n
+                for piece in _pieces(store, offset, n, a):
+                    inode.append(piece)
+            else:
+                store = stores[s]
+                inode.append(SliceSource(store, *_window(store.size, a, b)))
+        elif op == "view":
+            _, kind, i, a, b = step
+            if kind == "range" and written:
+                inode = written[i % len(written)]
+                views.append(InodeRangeSource(
+                    inode, *_window(inode.size, a, b)))
+            elif views and kind == "slice":
+                base = views[i % len(views)]
+                views.append(SliceSource(base, *_window(base.size, a, b)))
+            elif views and kind == "concat":
+                views.append(ConcatSource(
+                    [views[(i + k) % len(views)] for k in range(1 + a % 3)]))
+            elif views and kind == "split":
+                base = views[i % len(views)]
+                views.append(ConcatSource(_pieces(base, 0, base.size, a)))
+        elif files:
+            _, f, s, a, b = step
+            inode = files[f % len(files)]
+            old_size = inode.size
+            inode.truncate()
+            store = stores[s]
+            inode.append(SliceSource(store, *_window(store.size, a, b)))
+            if inode.size < old_size:
+                inode.append(PatternSource(old_size - inode.size, seed=a))
+        _assert_digests_match_bytes(views, chunk)
+
+
+@given(steps=st.lists(_steps, min_size=1, max_size=12),
+       chunk=st.sampled_from([7, PAGE_SIZE, 1 << 20]))
+@settings(max_examples=80, deadline=None)
+# A digest memoized by a view over a live inode went stale once the
+# inode was truncated and re-appended with other bytes.
+@example(steps=[("append", "store", 0, 0, 1, 4),
+                ("append", "store", 0, 1, 1, 4),
+                ("view", "range", 0, 0, 0),
+                ("view", "concat", 0, 1, 0),
+                ("rewrite", 0, 0, 2, 9)],
+         chunk=1 << 20)
+# Repeated windows of one store that add up to its size are not the store:
+# as a block file's parts, and as a concat's parts.
+@example(steps=[("append", "packets", 0, 0, 9, 0),
+                ("view", "range", 0, 0, 0)],
+         chunk=1 << 20)
+@example(steps=[("append", "store", 0, 0, 0, 0),
+                ("view", "range", 0, 0, 0),
+                ("view", "split", 0, 9, 0)],
+         chunk=1 << 20)
+def test_checksum_equals_hash_of_bytes_for_any_layout(steps, chunk):
+    _play(steps, chunk)
 
 
 # --------------------------------------------------------------- page cache
