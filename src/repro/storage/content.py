@@ -395,15 +395,15 @@ class ConcatSource(ByteSource):
     def _view_key(self):
         # Parts that are adjacent windows of one store (a block streamed
         # packet by packet, a file read request by request) are one window.
-        store = start = cursor = None
+        window = cursor = None
         for part in self._parts:
-            part_store, part_start = part._view_key()
-            if store is None:
-                store, start, cursor = part_store, part_start, part_start
-            elif part_store is not store or part_start != cursor:
+            store, part_start = part._view_key()
+            if window is None:
+                window = (store, part_start)
+            elif store is not window[0] or part_start != cursor:
                 return (self, 0)
-            cursor += part.size
-        return (self, 0) if store is None else (store, start)
+            cursor = part_start + part.size
+        return window or (self, 0)
 
 
 class SliceSource(ByteSource):

@@ -160,16 +160,15 @@ class InodeRangeSource(ByteSource):
         # writer source, or a re-replicated copy of such a file) is a
         # window of that store; otherwise it is a window of the inode.
         start, end = self._offset, self._offset + self.size
-        store = window = cursor = None
+        window = cursor = None
         pos = 0
         for part in self._inode.parts:
             part_end = pos + part.size
             if part_end > start and pos < end:
-                part_store, part_start = part._view_key()
-                if store is None:
-                    store, cursor = part_store, part_start + start - pos
-                    window = (store, cursor)
-                elif part_store is not store or part_start != cursor:
+                store, part_start = part._view_key()
+                if window is None:
+                    window = (store, part_start + start - pos)
+                elif store is not window[0] or part_start != cursor:
                     break
                 cursor = part_start + part_end - pos
             pos = part_end
