@@ -6,10 +6,9 @@ the ``(when, seq)`` tie-break that makes runs reproducible.  A component
 that reaches for ``heapq`` directly builds a second, untoggleable ordering
 path: it bypasses the wheel, the cancellation/compaction bookkeeping and
 the kernel counters, and its tie-breaks are whatever tuple shape the
-author happened to pick.  Schedule through ``Simulator`` instead, or — for
-genuinely kernel-adjacent code such as the epoch replay's closed-form
-round-robin — annotate the import with a pragma explaining why the
-ordering is local arithmetic, not event scheduling.
+author happened to pick.  Schedule through ``Simulator`` instead.  Code
+that needs a heap only for local arithmetic, never for event scheduling,
+may annotate the import with a pragma saying so.
 
 Modules under ``sim/`` are exempt: they *are* the kernel.
 """
@@ -40,10 +39,10 @@ class NoDirectHeapqRule(Rule):
             return
         # Imports are the chokepoint: heapq cannot be called without one,
         # and flagging only the import lets a single pragma annotate one
-        # audited local use instead of peppering every call site.
+        # local use instead of peppering every call site.
         hint = ("event ordering belongs to the kernel; schedule through "
-                "Simulator (or annotate an audited kernel-adjacent use "
-                f"with '# simlint: disable={self.name}' on the import)")
+                "Simulator (a heap used only for local arithmetic may "
+                f"carry '# simlint: disable={self.name}' on its import)")
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:

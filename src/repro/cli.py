@@ -10,8 +10,8 @@ Commands:
 * ``profile <name> [--quick|--paper] [--memory] [--kernel] [--json OUT]``
   — run one experiment under the profiling harness (cProfile + kernel
   counters; see :mod:`repro.perf`) and print the hot functions and
-  events/sec summary.  ``--kernel`` adds the fast-path breakdown (wheel
-  cascades/overflow promotions, epoch commits vs demotions).
+  events/sec summary.  ``--kernel`` adds the timer-wheel breakdown
+  (wheel advances, cascades, overflow promotions).
 * ``demo`` — the quickstart: vanilla vs vRead on one file, verified.
 
 The experiment table itself lives in :mod:`repro.experiments.registry`;
@@ -173,9 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="also trace allocations (tracemalloc; "
                                   "slower)")
     parser_prof.add_argument("--kernel", action="store_true",
-                             help="also break down the kernel fast paths "
-                                  "(wheel cascades/overflow, epoch "
-                                  "commits vs demotions)")
+                             help="also break down the timer wheel "
+                                  "(advances, cascades, overflow)")
     parser_prof.add_argument("--json", metavar="OUT",
                              help="also write the report as JSON to OUT")
     parser_prof.set_defaults(func=cmd_profile)

@@ -330,24 +330,6 @@ class VirtualHadoopCluster:
             f"{[d.datanode_id for d in self.datanodes]}")
 
     # ------------------------------------------------------------------ client
-    def add_client_vm(self, name: str,
-                      host_index: int = 0) -> VirtualMachine:
-        """Deprecated: use ``cluster.membership.add_client_vm`` instead.
-
-        Kept as a shim so old call sites keep working; routes through the
-        membership controller (which versions the change and notifies
-        observers).  Prefer declaring clients in the topology
-        (``paper_fig10(clients=N)`` / ``rack_cluster(..., clients=N)``) or
-        calling the controller directly.
-        """
-        import warnings
-        warnings.warn(
-            "VirtualHadoopCluster.add_client_vm is deprecated; use "
-            "cluster.membership.add_client_vm(name, host=...)",
-            DeprecationWarning, stacklevel=2)
-        return self.membership.add_client_vm(
-            name, host=self.hosts[host_index])
-
     def remove_client_vm(self, name: str) -> None:
         """Remove a client VM from the pool (see the membership controller)."""
         self.membership.remove_client_vm(name)

@@ -22,7 +22,8 @@ toggle (mirroring ``REPRO_LEGACY_BUFFERS`` in the data plane):
   whole-burst timer while no thread waits for a core and *demotes* it back
   to slice granularity the moment a contender arrives, replaying the
   reference's float arithmetic (same left-fold order) so clocks, charges
-  and RNG draws stay bit-for-bit identical.
+  and RNG draws stay bit-for-bit identical.  Contended rounds run on this
+  path too, demoted to one timer per slice.
 
 Sanitize mode (``Simulator(sanitize=True)``) always runs the reference
 implementation: its per-slice event ceremony is what the sanitizer's
@@ -80,73 +81,21 @@ class legacy_slices:
         use_legacy_slices(self._previous)
 
 
-_epochs_enabled = os.environ.get("REPRO_NO_EPOCH", "") in ("", "0")
-
-
-def use_epochs(enabled: bool) -> None:
-    """Enable/disable contended-round epoch coalescing (fast path only)."""
-    global _epochs_enabled
-    _epochs_enabled = bool(enabled)
-
-
-def epochs_enabled() -> bool:
-    """True when contended rounds may be coalesced into epochs."""
-    return _epochs_enabled
-
-
-class epoch_coalescing:
-    """Context manager: temporarily enable/disable epoch coalescing."""
-
-    def __init__(self, enabled: bool = True):
-        self._enabled = enabled
-        self._previous = None
-
-    def __enter__(self) -> "epoch_coalescing":
-        self._previous = _epochs_enabled
-        use_epochs(self._enabled)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        use_epochs(self._previous)
-
-
-#: Epoch-coalescing observability (``python -m repro profile --kernel``).
-_EPOCH_STATS = {
-    "epochs_formed": 0,       # contended rounds coalesced into an epoch
-    "epochs_completed": 0,    # epochs that ran to their completion horizon
-    "epochs_demoted": 0,      # epochs dissolved early (arrival/freq/interrupt)
-    "epochs_rejected": 0,     # replays discarded as not worth the ceremony
-    "epoch_records": 0,       # slice/switch boundaries replayed arithmetically
-}
-
-
 def epoch_stats() -> dict:
-    """Snapshot of the epoch-coalescing counters."""
-    return dict(_EPOCH_STATS)
+    """Always-zero counters, kept only for ``benchmarks/e2e/child.py``.
+
+    The contended-round epoch engine these counted is gone: contended
+    rounds run the demoting :class:`_Burst` path.  This stub goes when the
+    benchmark's next change drops its ``hostmodel.epochs_*`` metrics
+    (ROADMAP.md, item 1).
+    """
+    return dict.fromkeys(("epochs_formed", "epochs_completed",
+                          "epochs_demoted", "epochs_rejected",
+                          "epoch_records"), 0)
 
 
 def reset_epoch_stats() -> None:
-    """Zero the epoch-coalescing counters."""
-    for key in _EPOCH_STATS:
-        _EPOCH_STATS[key] = 0
-
-
-class _Handoff:
-    """Sentinel telling a parked generator how an epoch dissolved under it."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self) -> str:
-        return f"<handoff {self.name}>"
-
-
-#: Burst was virtually preempted: its grant just fired, start a fresh segment.
-_H_DISPATCH = _Handoff("dispatch")
-#: Burst's mid-interval cursor was restored: skip ``begin_segment``.
-_H_CURSOR = _Handoff("cursor")
+    """No-op companion of :func:`epoch_stats`, kept for the benchmark."""
 
 
 class Thread:
@@ -189,7 +138,7 @@ class _Burst:
     __slots__ = ("scheduler", "thread_name", "category", "proc", "timer",
                  "armed_end", "arm_seq", "switch_end_wake", "t", "rem",
                  "switch_seconds", "switch_done", "slice_cycles",
-                 "frequency_hz", "handoff", "parked_grant")
+                 "frequency_hz")
 
     def __init__(self, scheduler: "CpuScheduler", thread_name: str,
                  category: str, proc):
@@ -200,12 +149,6 @@ class _Burst:
         self.timer = None
         self.armed_end = 0.0
         self.arm_seq = 0
-        #: Epoch-dissolution handoff (None / _H_DISPATCH / _H_CURSOR); tells
-        #: the generator how to resume after the engine reshaped its state.
-        self.handoff = None
-        #: Pending core grant minted for this burst by an epoch dissolution
-        #: while its generator is parked at the main-loop yield.
-        self.parked_grant = None
         #: Timer armed at the dispatch-switch end (frequency-change demote):
         #: the wake there re-folds at the new clock and must not preempt —
         #: the reference loop never preempts at a switch boundary.
@@ -330,304 +273,6 @@ class _Burst:
         self.t = t
 
 
-class _EpochMember:
-    """Per-participant state of a coalesced contended round (epoch).
-
-    ``records`` is the participant's committed-boundary tape: one entry per
-    fold boundary (dispatch switch or slice end) the virtual replay crossed,
-    each carrying the exact charge the reference would have made *and* the
-    burst cursor's post-state, so dissolving the epoch at any instant can
-    restore the participant as if it had executed slice-by-slice.
-    """
-
-    __slots__ = ("burst", "records", "applied", "grant", "snap0",
-                 "t", "rem", "switch_done", "switch_seconds", "slice_cycles",
-                 "frequency_hz", "arm_band", "arm_order", "arm_start")
-
-    def __init__(self, burst: _Burst, grant=None):
-        self.burst = burst
-        self.records = []
-        #: Records already folded into the accounting (monotone pointer).
-        self.applied = 0
-        #: The pending core grant this participant is parked on (queued).
-        self.grant = grant
-        # Virtual cursor, seeded from the burst's real fold cursor.
-        self.t = burst.t
-        self.rem = burst.rem
-        self.switch_done = burst.switch_done
-        self.switch_seconds = burst.switch_seconds
-        self.slice_cycles = burst.slice_cycles
-        self.frequency_hz = burst.frequency_hz
-        self.snap0 = (burst.t, burst.rem, burst.switch_done,
-                      burst.switch_seconds, burst.slice_cycles,
-                      burst.frequency_hz)
-        #: Mint order of the timer covering the in-progress interval:
-        #: band 0 = armed for real before the epoch formed (order is the
-        #: kernel sequence number), band 1 = armed virtually by the replay
-        #: (order is the replay counter).  ``(when, band, order)`` reproduces
-        #: the kernel's ``(when, seq)`` tie-break exactly.
-        self.arm_band = 0
-        self.arm_order = burst.arm_seq
-        self.arm_start = burst.t
-
-
-class _Epoch:
-    """One coalesced contended round: k bursts round-robining on c cores.
-
-    Formed when every core runs a coalesced burst and every core waiter is
-    a coalesced burst parked at its rotation re-acquire.  The whole
-    round-robin rotation — k threads × slice quantum, switch charges, queue
-    hand-offs — is replayed as closed-form arithmetic up to the first
-    completion (the *horizon*); the participants' per-slice timers are
-    withdrawn from the kernel and one horizon timer stands in for them all.
-
-    Accounting reads mid-epoch fold the tape through :meth:`commit_to`
-    (observer-exact: a boundary on the reader's own instant is charged only
-    if its timer would have carried a lower sequence number).  Any
-    perturbation — a new core waiter, a frequency change, an interrupt —
-    dissolves the epoch at the current instant, restoring every participant
-    to the exact state the slice-by-slice execution would be in.
-    """
-
-    __slots__ = ("scheduler", "members", "oncore0", "queue0", "pops",
-                 "pop_ptr", "horizon", "finisher", "horizon_timer",
-                 "fire_cb", "fresh_switch", "fresh_slice", "freq")
-
-    #: Virtual-replay tape cap: bounds formation latency and memory.
-    RECORDS_CAP = 4096
-    #: Minimum wakes an epoch must elide to be worth the parking ceremony
-    #: (measured break-even under lookbusy-style churn on a quad core).
-    MIN_POPS = 16
-
-    def __init__(self, scheduler: "CpuScheduler"):
-        self.scheduler = scheduler
-        self.members: dict = {}
-        self.oncore0: list = []
-        self.queue0: list = []
-        #: Replayed wakes: (time, mint_time, member, upto, dispatched).
-        self.pops: list = []
-        self.pop_ptr = 0
-        self.horizon = 0.0
-        self.finisher = None
-        self.horizon_timer = None
-        self.fresh_switch = 0.0
-        self.fresh_slice = 0.0
-        self.freq = 0.0
-
-    # ------------------------------------------------------------ replay
-    def replay(self, now: float) -> bool:
-        """Run the round-robin arithmetic to the first completion.
-
-        Returns False when the epoch is not viable (too short, or the
-        record cap was hit before enough wakes were elided).
-        """
-        # Local arithmetic over completion instants, not event scheduling:
-        # the kernel never sees these entries, and the commit re-emits the
-        # results through Simulator with the reference's own ordering.
-        from heapq import heapify, heappush, heappop  # simlint: disable=no-direct-heapq
-
-        scheduler = self.scheduler
-        costs = scheduler.costs
-        freq = scheduler.frequency_hz
-        switch_seconds = costs.context_switch_cycles / freq
-        fresh_slice = costs.time_slice_seconds * freq
-        self.fresh_switch = switch_seconds
-        self.fresh_slice = fresh_slice
-        self.freq = freq
-        heap = [(member.burst.armed_end, member.arm_band, member.arm_order,
-                 member) for member in self.oncore0]
-        heapify(heap)
-        queue = deque(self.queue0)
-        pops = self.pops
-        counter = 0
-        nrecords = 0
-        cap = self.RECORDS_CAP
-        while heap:
-            when, band, order, member = heappop(heap)
-            if nrecords >= cap:
-                # Tape full: close the epoch at the last instant whose
-                # wakes were all replayed (a half-replayed instant would
-                # misorder same-time rotations at the fire).
-                while pops and pops[-1][0] >= when:
-                    pops.pop()
-                if pops:
-                    self.horizon = pops[-1][0]
-                break
-            mint_time = member.arm_start
-            records = member.records
-            t = member.t
-            if not member.switch_done:
-                end = t + member.switch_seconds
-                key = (member.burst.thread_name, OTHERS)
-                records.append((end, t, key, member.switch_seconds,
-                                end, member.rem, True, member.switch_seconds,
-                                member.slice_cycles, member.frequency_hz))
-                member.switch_done = True
-                member.t = end
-                t = end
-                nrecords += 1
-            rem = member.rem
-            burst_c = rem if rem < member.slice_cycles else member.slice_cycles
-            duration = burst_c / member.frequency_hz
-            end = t + duration
-            rem = rem - burst_c
-            key = (member.burst.thread_name, member.burst.category)
-            records.append((end, t, key, duration, end, rem, True,
-                            member.switch_seconds, member.slice_cycles,
-                            member.frequency_hz))
-            member.t = end
-            member.rem = rem
-            nrecords += 1
-            if rem <= 0.0:
-                # First completion: the horizon.  The finisher's real
-                # resume performs the release/handoff at this instant.
-                pops.append((end, mint_time, member, len(records), None))
-                self.horizon = end
-                self.finisher = member
-                break
-            # Rotation: release -> dispatch the queue head -> rejoin tail.
-            head = queue.popleft()
-            counter += 1
-            head.switch_seconds = switch_seconds
-            head.slice_cycles = fresh_slice
-            head.frequency_hz = freq
-            head.arm_band = 1
-            head.arm_order = counter
-            head.arm_start = end
-            # The dispatch switch is charged on its own record right here,
-            # not at the head's eventual wake: if the cap trims that wake,
-            # observers folding the tape mid-epoch must still see the
-            # switch the reference settle would have charged.
-            switch_end = end + switch_seconds
-            head.records.append((switch_end, end,
-                                 (head.burst.thread_name, OTHERS),
-                                 switch_seconds, switch_end, head.rem, True,
-                                 switch_seconds, fresh_slice, freq))
-            head.switch_done = True
-            head.t = switch_end
-            nrecords += 1
-            head_rem = head.rem
-            head_burst = (head_rem if head_rem < fresh_slice else fresh_slice)
-            boundary = switch_end + head_burst / freq
-            heappush(heap, (boundary, 1, counter, head))
-            queue.append(member)
-            pops.append((end, mint_time, member, len(records), head))
-        if self.finisher is None and self.horizon == 0.0:
-            return False  # cap hit before a single closable instant
-        if len(self.pops) < self.MIN_POPS or self.horizon <= now:
-            return False
-        return True
-
-    # ------------------------------------------------------- accounting
-    def _apply_records(self, member: _EpochMember, upto: int) -> None:
-        accounting = self.scheduler.accounting
-        busy = accounting._busy
-        birth = accounting._birth
-        records = member.records
-        i = member.applied
-        while i < upto:
-            end, start, key, duration = records[i][:4]
-            if key not in birth:
-                accounting._note_birth(key, end)
-            busy[key] += duration
-            i += 1
-        _EPOCH_STATS["epoch_records"] += i - member.applied
-        member.applied = i
-
-    def commit_to(self, now: float, observer_sched) -> None:
-        """Fold the tape into the accounting up to ``now`` (one pass).
-
-        Whole wakes are applied in replay order (a wake on the observer's
-        own instant only if its timer was minted at or after the observer
-        was scheduled — the kernel would have fired it first); then
-        per-participant partial boundaries, in ``_inflight`` order, exactly
-        as the non-epoch settle hook would.
-        """
-        pops = self.pops
-        i = self.pop_ptr
-        n = len(pops)
-        while i < n:
-            pop_time, mint_time, member, upto, dispatched = pops[i]
-            if pop_time > now:
-                break
-            if (pop_time == now and observer_sched is not None
-                    and observer_sched < mint_time):
-                break
-            if member.applied < upto:
-                self._apply_records(member, upto)
-            i += 1
-        self.pop_ptr = i
-        members = self.members
-        for burst in self.scheduler._inflight:
-            member = members.get(burst)
-            if member is None:
-                continue
-            records = member.records
-            j = member.applied
-            limit = len(records)
-            while j < limit:
-                end = records[j][0]
-                if end > now:
-                    break
-                if (end == now and observer_sched is not None
-                        and observer_sched < records[j][1]):
-                    break
-                j += 1
-            if j > member.applied:
-                self._apply_records(member, j)
-
-    # ------------------------------------------------------------- roles
-    def roles(self):
-        """(on-core, queued, dispatch times) after the applied wakes.
-
-        ``dispatches`` maps each member to the instant of its last applied
-        virtual dispatch — needed by :meth:`restore`, because a dispatch
-        resets the fold cursor to a fresh segment without leaving a record
-        of its own on the tape.
-        """
-        oncore = list(self.oncore0)
-        queue = deque(self.queue0)
-        dispatches: dict = {}
-        for i in range(self.pop_ptr):
-            pop_time, _, member, _, dispatched = self.pops[i]
-            if dispatched is None:
-                continue  # completion: the finisher keeps its core
-            oncore.remove(member)
-            queue.popleft()
-            oncore.append(dispatched)
-            queue.append(member)
-            dispatches[dispatched] = pop_time
-        return oncore, queue, dispatches
-
-    def restore(self, member: _EpochMember, dispatch_time=None) -> None:
-        """Copy the last *applied* post-state back into the real cursor.
-
-        A virtual dispatch after the last applied record supersedes it:
-        the cursor becomes a fresh segment begun at the dispatch instant
-        (its switch still pending), exactly what ``begin_segment`` would
-        have produced when the reference granted the core.
-        """
-        burst = member.burst
-        if member.applied:
-            record = member.records[member.applied - 1]
-            base_end = record[0]
-            state = record[4:]
-        else:
-            base_end = None
-            state = member.snap0
-        if dispatch_time is not None and (base_end is None
-                                          or dispatch_time >= base_end):
-            burst.t = dispatch_time
-            burst.rem = state[1]
-            burst.switch_done = False
-            burst.switch_seconds = self.fresh_switch
-            burst.slice_cycles = self.fresh_slice
-            burst.frequency_hz = self.freq
-        else:
-            (burst.t, burst.rem, burst.switch_done, burst.switch_seconds,
-             burst.slice_cycles, burst.frequency_hz) = state
-
-
 class CpuScheduler:
     """FIFO-dispatch, round-robin-preemption scheduler over ``cores`` cores."""
 
@@ -653,12 +298,6 @@ class CpuScheduler:
         self._threads: list = []
         #: Coalesced bursts currently holding a core (fast path only).
         self._inflight: list = []
-        #: Active contended-round epoch (fast path only), if any.
-        self._epoch: Optional[_Epoch] = None
-        #: No formation attempts before this instant (rejected-replay cache).
-        self._epoch_retry_at = float("-inf")
-        #: Pending rotation grants -> the coalesced burst parked on each.
-        self._grant_burst: dict = {}
         #: Wakeups that paid the CFS wake-stacking delay (observability).
         self.stacked_wakeups = 0
         #: Optional :class:`repro.metrics.tracing.Tracer` for scheduler
@@ -707,10 +346,6 @@ class CpuScheduler:
         """cpufreq-set: change the clock for all subsequent bursts."""
         if frequency_hz <= 0:
             raise SimulationError(f"frequency must be positive: {frequency_hz}")
-        if self._epoch is not None:
-            # The replayed rotations were folded at the old clock.
-            self._dissolve()
-        self._epoch_retry_at = float("-inf")  # a new clock, a new verdict
         if self._inflight:
             # Segments were folded at the old clock; cut them at the end of
             # the interval currently in progress so every *later* slice is
@@ -726,10 +361,6 @@ class CpuScheduler:
     # ------------------------------------------------------------- core pool
     def _acquire_core(self) -> Event:
         """Event that fires when a core is granted to the caller."""
-        if self._epoch is not None:
-            # A new contender joins the round: fall back to slice-granular
-            # execution first so the joiner queues behind real timers.
-            self._dissolve()
         grant = Event(self.sim)
         if self._free_cores > 0:
             self._free_cores -= 1
@@ -765,294 +396,6 @@ class CpuScheduler:
             else:
                 self._waiting.remove(grant)
             raise
-
-    def _acquire_core_fast(self, burst: _Burst):
-        """Rotation re-acquire for a coalesced burst.
-
-        Like :meth:`_acquire_core_or_abort`, but registers the parked
-        burst (``_grant_burst``) so a fully-coalesced contended round can
-        form an epoch, and unwinds epoch state when interrupted.
-        """
-        grant = self._acquire_core()
-        if not grant.triggered:
-            self._grant_burst[grant] = burst
-        try:
-            yield grant
-        except BaseException:
-            epoch = self._epoch
-            if epoch is not None and burst in epoch.members:
-                if self._dissolve_for_interrupt(burst):
-                    # Virtually dispatched: the victim holds a real core.
-                    self._release_core()
-                # else: virtually queued; the rebuild dropped our grant.
-                raise
-            if grant.triggered:
-                if burst.handoff is _H_CURSOR:
-                    # Granted by a reconstruction but interrupted before
-                    # the resume: withdraw the pre-minted boundary timer.
-                    burst.handoff = None
-                    pending = burst.timer
-                    if pending is not None:
-                        if not pending.triggered:
-                            pending.cancel()
-                        burst.timer = None
-                self._release_core()
-            else:
-                self._waiting.remove(grant)
-            raise
-        finally:
-            self._grant_burst.pop(grant, None)
-
-    # ------------------------------------------------------ epoch coalescing
-    def _maybe_form_epoch(self, active: _Burst) -> None:
-        """Coalesce the current contended round into an epoch, if closed.
-
-        Called by the fast path right after ``active`` armed its contended
-        next-boundary timer.  A round is *closed* when every core runs a
-        coalesced burst armed exactly at its next fold boundary and every
-        core waiter is a coalesced burst parked at its rotation
-        re-acquire — then the whole round-robin rotation is deterministic
-        until the first completion and can be replayed arithmetically.
-        """
-        sim = self.sim
-        now = sim._now
-        if now < self._epoch_retry_at:
-            # A rejected replay's horizon still stands: new waiters only
-            # append to the rotation tail, so the first completion — and
-            # with it the verdict — cannot move earlier.  Skip the replay.
-            return
-        tracer = self.tracer
-        if tracer is not None and tracer.wants("sched"):
-            return  # per-rotation trace records must keep flowing
-        if self._free_cores != 0:
-            return
-        oncore = []
-        queued = 0
-        for burst in self._inflight:
-            if burst.timer is None:
-                queued += 1
-                continue
-            if burst.switch_end_wake or burst.armed_end <= now:
-                return
-            if burst.armed_end != burst.next_boundary():
-                return  # armed past a rotation point (mid freq dance)
-            if burst is not active and len(burst.timer.callbacks or ()) != 1:
-                return  # somebody else listens to this slice timer
-            oncore.append(burst)
-        waiting = self._waiting
-        if len(oncore) != self.cores or queued != len(waiting) or not queued:
-            return
-        grant_burst = self._grant_burst
-        members = {}
-        queue0 = []
-        for grant in waiting:
-            parked = grant_burst.get(grant)
-            if parked is None or parked.timer is not None:
-                return  # a slice-loop or first-dispatch waiter: not closed
-            member = _EpochMember(parked, grant)
-            members[parked] = member
-            queue0.append(member)
-        if len(members) != queued:
-            return
-        epoch = _Epoch(self)
-        oncore.sort(key=lambda entry: entry.arm_seq)
-        for burst in oncore:
-            members[burst] = _EpochMember(burst)
-        epoch.members = members
-        epoch.oncore0 = [members[burst] for burst in oncore]
-        epoch.queue0 = queue0
-        if not epoch.replay(now):
-            # Too short to pay for the parking ceremony; don't re-run the
-            # replay until the round it previewed has actually played out.
-            _EPOCH_STATS["epochs_rejected"] += 1
-            self._epoch_retry_at = max(epoch.horizon, now)
-            return
-        # Viable: withdraw the per-slice timers, arm one horizon timer.
-        _EPOCH_STATS["epochs_formed"] += 1
-        horizon_timer = AbsoluteTimeout(sim, epoch.horizon)
-        fire_cb = lambda event, epoch=epoch: self._epoch_fire(epoch)  # noqa: E731
-        horizon_timer.callbacks.append(fire_cb)
-        epoch.horizon_timer = horizon_timer
-        epoch.fire_cb = fire_cb
-        finisher = epoch.finisher
-        for burst in oncore:
-            timer = burst.timer
-            timer.cancel()
-            if burst is active:
-                # The generator yields whatever ``burst.timer`` holds when
-                # this call returns; park it on the horizon (finisher) or
-                # on an inert carrier the dissolution will transplant.
-                if finisher is not None and finisher.burst is active:
-                    burst.timer = horizon_timer
-                else:
-                    burst.timer = Event(sim)
-            elif finisher is not None and finisher.burst is burst:
-                # Parked mid-yield and first to complete: move its resume
-                # onto the horizon timer, after the fire callback.
-                horizon_timer.callbacks.extend(timer.callbacks)
-                timer.callbacks = None
-                proc = burst.proc
-                if proc is not None and proc._target is timer:
-                    proc._target = horizon_timer
-                burst.timer = horizon_timer
-            # Other bursts stay parked on their cancelled timers (the
-            # callbacks survive cancellation); dissolution transplants.
-        self._epoch = epoch
-
-    def _reconstruct(self, epoch: _Epoch, now: float, skip=None) -> bool:
-        """Re-arm every participant slice-granular at ``now``.
-
-        ``skip`` (an :class:`_EpochMember`) has its cursor restored but is
-        not re-parked: an interrupt victim unwinds through its own
-        exception path, the completing finisher resumes off the firing
-        horizon timer itself.  Returns True when ``skip`` virtually held a
-        core at ``now``.
-        """
-        sim = self.sim
-        oncore, queue, dispatches = epoch.roles()
-        for member in epoch.members.values():
-            epoch.restore(member, dispatches.get(member))
-        grant_burst = self._grant_burst
-        skip_on_core = False
-        # Queued roles: rebuild the wait queue in virtual order.
-        waiting = self._waiting
-        waiting.clear()
-        for member in queue:
-            if member is skip:
-                member.burst.handoff = None
-                member.burst.parked_grant = None
-                if member.grant is not None:
-                    grant_burst.pop(member.grant, None)
-                continue
-            burst = member.burst
-            grant = member.grant
-            if grant is None:
-                # On a core when the epoch formed; the replay preempted
-                # it.  Park the generator on a fresh grant: when it fires,
-                # the burst starts a fresh dispatch segment.
-                carrier = burst.timer
-                grant = Event(sim)
-                grant.callbacks = carrier.callbacks
-                carrier.callbacks = None
-                proc = burst.proc
-                if proc is not None and proc._target is carrier:
-                    proc._target = grant
-                member.grant = grant
-                grant_burst[grant] = burst
-                burst.timer = None
-                burst.handoff = _H_DISPATCH
-                burst.parked_grant = grant
-            # else: still parked exactly as at formation — either at its
-            # rotation re-acquire (no handoff) or on a carrier grant minted
-            # by an earlier chained reconstruction (_H_DISPATCH intact).
-            # Its parked state must survive untouched.
-            waiting.append(grant)
-        # On-core roles: fresh boundary timers, minted in the order the
-        # reference minted the timers they stand in for (only same-instant
-        # fire order is observable; the kernel breaks when-ties by seq).
-        armed = []
-        for member in oncore:
-            if member is skip:
-                member.burst.handoff = None
-                member.burst.parked_grant = None
-                skip_on_core = True
-                continue
-            armed.append((member.burst.next_boundary(), member.arm_band,
-                          member.arm_order, member))
-        armed.sort(key=lambda item: item[:3])
-        for boundary, _band, _order, member in armed:
-            burst = member.burst
-            grant = member.grant
-            if grant is not None:
-                # Parked at its rotation re-acquire but virtually
-                # dispatched: grant the core for real; the generator
-                # resumes onto its restored mid-interval cursor.
-                member.grant = None
-                grant_burst.pop(grant, None)
-                burst.handoff = _H_CURSOR
-                burst.parked_grant = None
-                # Mint its boundary timer here, in reference mint order —
-                # the generator reuses it (see _H_CURSOR in _execute_fast)
-                # so a seq tie at the boundary instant breaks exactly as
-                # the reference's interleaved arms would.
-                replacement = AbsoluteTimeout(sim, boundary)
-                burst.arm_seq = sim._seq
-                burst.timer = replacement
-                burst.armed_end = boundary
-                burst.switch_end_wake = False
-                grant.succeed(None)
-                continue
-            carrier = burst.timer
-            replacement = AbsoluteTimeout(sim, boundary)
-            burst.arm_seq = sim._seq
-            replacement.callbacks = carrier.callbacks
-            carrier.callbacks = None
-            burst.timer = replacement
-            burst.armed_end = boundary
-            burst.switch_end_wake = False
-            proc = burst.proc
-            if proc is not None and proc._target is carrier:
-                proc._target = replacement
-        return skip_on_core
-
-    def _dissolve(self) -> None:
-        """Dissolve the epoch at the current instant (arrival/freq change).
-
-        Commits are inclusive: a replayed wake landing exactly on ``now``
-        happened — its stand-in timer was minted before the dissolving
-        event, so the reference had already fired it (the same argument as
-        :meth:`_demote_inflight`).
-        """
-        epoch = self._epoch
-        self._epoch = None
-        _EPOCH_STATS["epochs_demoted"] += 1
-        now = self.sim._now
-        epoch.commit_to(now, None)
-        horizon = epoch.horizon_timer
-        try:
-            horizon.callbacks.remove(epoch.fire_cb)
-        except ValueError:
-            pass
-        horizon.cancel()
-        self._reconstruct(epoch, now)
-
-    def _dissolve_for_interrupt(self, victim: _Burst) -> bool:
-        """Dissolve for an interrupt landing on ``victim``.
-
-        The victim's cursor is restored but it is not re-parked (its
-        exception path unwinds the generator).  Returns True when the
-        victim virtually held a core.
-        """
-        epoch = self._epoch
-        self._epoch = None
-        _EPOCH_STATS["epochs_demoted"] += 1
-        now = self.sim._now
-        epoch.commit_to(now, None)
-        horizon = epoch.horizon_timer
-        try:
-            horizon.callbacks.remove(epoch.fire_cb)
-        except ValueError:
-            pass
-        horizon.cancel()
-        return self._reconstruct(epoch, now, skip=epoch.members[victim])
-
-    def _epoch_fire(self, epoch: _Epoch) -> None:
-        """Horizon callback: the first participant completed (or the tape
-        capped out); commit everything and return to slice granularity."""
-        if self._epoch is not epoch:
-            return  # stale: dissolved earlier this instant
-        self._epoch = None
-        _EPOCH_STATS["epochs_completed"] += 1
-        now = self.sim._now
-        epoch.commit_to(now, None)
-        finisher = epoch.finisher
-        skip = None
-        if (finisher is not None
-                and finisher.burst.timer is epoch.horizon_timer):
-            # The finisher's resume rides this very event (it was parked
-            # on the horizon timer): restore, don't re-park.
-            skip = finisher
-        self._reconstruct(epoch, now, skip=skip)
 
     # -------------------------------------------------- coalesced bookkeeping
     def _demote_inflight(self, freq_change: bool = False) -> None:
@@ -1143,21 +486,11 @@ class CpuScheduler:
         """
         now = self.sim._now
         observer_sched = self.sim._active_sched_time
-        epoch = self._epoch
-        if epoch is not None:
-            epoch.commit_to(now, observer_sched)
-            return
         for burst in self._inflight:
             if burst.timer is not None:
                 burst.commit(now, observer_sched=observer_sched)
 
     # -------------------------------------------------------------- execution
-    def execute(self, thread: Thread, cycles: float, category: str):
-        """Generator implementing a CPU burst (see :meth:`Thread.run`)."""
-        if _legacy_slices or self.sim.sanitizer is not None:
-            return self._execute_sliced(thread, cycles, category)
-        return self._execute_fast(thread, cycles, category)
-
     def _execute_sliced(self, thread: Thread, cycles: float, category: str):
         """The slice-loop reference: one timer per time slice.
 
@@ -1294,96 +627,26 @@ class CpuScheduler:
                 slice_cycles = (self.costs.time_slice_seconds
                                 * self.frequency_hz)
                 while True:
-                    if burst.handoff is _H_CURSOR:
-                        # An epoch dissolution restored a mid-interval
-                        # cursor: arm straight from it.  The reconstruction
-                        # pre-minted the boundary timer (in reference mint
-                        # order); reuse it rather than re-arming.
-                        burst.handoff = None
-                        timer = burst.timer
-                        if timer is None:
-                            end = burst.next_boundary()
-                            timer = AbsoluteTimeout(sim, end)
-                            burst.timer = timer
-                            burst.armed_end = end
-                            burst.arm_seq = sim._seq
-                    else:
-                        burst.begin_segment(sim._now, remaining,
-                                            pending_switch, slice_cycles,
-                                            self.frequency_hz)
-                        # Born contended: arm only up to the first slice
-                        # boundary, exactly where the reference would
-                        # preempt.
-                        end = (burst.next_boundary() if self._waiting
-                               else burst.segment_end())
-                        timer = AbsoluteTimeout(sim, end)
-                        burst.timer = timer
-                        burst.armed_end = end
-                        burst.arm_seq = sim._seq
-                    if (self._waiting and self._epoch is None
-                            and _epochs_enabled):
-                        self._maybe_form_epoch(burst)
-                        timer = burst.timer  # possibly parked on the epoch
+                    burst.begin_segment(sim._now, remaining, pending_switch,
+                                        slice_cycles, self.frequency_hz)
+                    # Born contended: arm only up to the first slice
+                    # boundary, exactly where the reference would preempt.
+                    end = (burst.next_boundary() if self._waiting
+                           else burst.segment_end())
+                    timer = AbsoluteTimeout(sim, end)
+                    burst.timer = timer
+                    burst.armed_end = end
+                    burst.arm_seq = sim._seq
                     try:
                         yield timer
                     except BaseException:
                         # Interrupt mid-segment: charge elapsed boundaries
                         # (the in-flight partial slice is never charged,
                         # matching the reference) and unwind.
-                        pending = burst.timer
-                        if (burst.handoff is _H_CURSOR
-                                and pending is not None
-                                and pending is not timer):
-                            # Interrupted between an epoch fire and the
-                            # resume: the pre-minted boundary timer was
-                            # never yielded; withdraw it.
-                            burst.handoff = None
-                            if not pending.triggered:
-                                pending.cancel()
                         burst.timer = None
-                        epoch = self._epoch
-                        if epoch is not None and burst in epoch.members:
-                            if not self._dissolve_for_interrupt(burst):
-                                on_core = False  # virtually preempted
-                            raise
-                        grant = burst.parked_grant
-                        if grant is not None:
-                            # Parked queued by a dissolution.  Usually the
-                            # grant never fired: withdraw it from the queue.
-                            # On an end-of-run teardown the grant may have
-                            # fired with the resume still undelivered — then
-                            # we hold a core and the finally releases it.
-                            burst.parked_grant = None
-                            burst.handoff = None
-                            self._grant_burst.pop(grant, None)
-                            if not grant.triggered:
-                                self._waiting.remove(grant)
-                                on_core = False
-                            raise
                         burst.commit(sim._now)
                         raise
-                    handoff = burst.handoff
-                    if handoff is _H_CURSOR:
-                        # Re-granted a core with a restored mid-interval
-                        # cursor; ``burst.timer`` holds the pre-minted
-                        # boundary timer (the loop top consumes the flag).
-                        continue
                     burst.timer = None
-                    if handoff is _H_DISPATCH:
-                        # Virtually preempted during an epoch; the grant
-                        # minted at dissolution just fired: start a fresh
-                        # dispatch segment (boundaries were committed by
-                        # the epoch tape, nothing to commit here).
-                        burst.handoff = None
-                        grant = burst.parked_grant
-                        burst.parked_grant = None
-                        self._grant_burst.pop(grant, None)
-                        remaining = burst.rem
-                        pending_switch = self.seconds(
-                            self.costs.context_switch_cycles)
-                        slice_cycles = (self.costs.time_slice_seconds
-                                        * self.frequency_hz)
-                        continue
                     burst.commit(sim._now)
                     remaining = burst.rem
                     if remaining <= 0.0:
@@ -1410,11 +673,8 @@ class CpuScheduler:
                                           remaining=remaining)
                         self._release_core()
                         on_core = False
-                        yield from self._acquire_core_fast(burst)
+                        yield from self._acquire_core_or_abort()
                         on_core = True
-                        # An epoch may have run the burst virtually while
-                        # it was parked: re-read the authoritative rem.
-                        remaining = burst.rem
                         pending_switch = self.seconds(
                             self.costs.context_switch_cycles)
                         slice_cycles = (self.costs.time_slice_seconds

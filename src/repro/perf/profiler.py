@@ -41,7 +41,7 @@ class ProfileReport:
         default_factory=list)          # (location, calls, tottime, cumtime)
     peak_traced_mb: Optional[float] = None    # tracemalloc high-water
     trace_top: List[Tuple[str, float]] = field(default_factory=list)
-    epochs: Optional[Dict[str, int]] = None   # epoch_stats() (--kernel only)
+    kernel_breakdown: bool = False     # render the wheel counters (--kernel)
 
     @property
     def events_per_second(self) -> float:
@@ -72,7 +72,6 @@ class ProfileReport:
             "tracemalloc_top": [
                 {"where": where, "mb": round(mb, 3)}
                 for where, mb in self.trace_top],
-            "epochs": dict(self.epochs) if self.epochs is not None else None,
         }
 
     def render(self) -> str:
@@ -92,8 +91,7 @@ class ProfileReport:
         ]
         if self.peak_traced_mb is not None:
             lines.append(f"  peak traced heap   {self.peak_traced_mb:10.1f} MB")
-        if self.epochs is not None:
-            e = self.epochs
+        if self.kernel_breakdown:
             lines += [
                 "",
                 "  kernel breakdown:",
@@ -101,11 +99,6 @@ class ProfileReport:
                 f"   (cascades {k.get('wheel_cascades', 0)})",
                 f"    overflow promoted  {k.get('wheel_overflow', 0):10d}"
                 f"   (max bucket {k.get('wheel_max_bucket', 0)})",
-                f"    epochs formed      {e.get('epochs_formed', 0):10d}"
-                f"   (committed {e.get('epochs_completed', 0)}, "
-                f"demoted {e.get('epochs_demoted', 0)})",
-                f"    epochs rejected    {e.get('epochs_rejected', 0):10d}"
-                f"   (replay records {e.get('epoch_records', 0)})",
             ]
         lines += ["", "  hottest functions (by internal time):"]
         width = max((len(where) for where, *_ in self.top_functions),
@@ -137,9 +130,8 @@ def profile_experiment(experiment: str, profile: str = "quick",
     ``memory=True`` additionally enables tracemalloc (slower: every
     allocation is traced) and reports the peak traced heap plus the
     largest allocation sites.  ``kernel_breakdown=True`` additionally
-    snapshots the fast-path counters — timer-wheel cascade/overflow
-    activity and epoch-coalescing commits vs demotions — so a regression
-    in either fast path shows up as counter drift, not just wall time.
+    renders the timer wheel's cascade/overflow counters, so a regression
+    in the wheel shows up as counter drift, not just wall time.
     """
     from repro.experiments import runner
 
@@ -148,10 +140,6 @@ def profile_experiment(experiment: str, profile: str = "quick",
         import tracemalloc as tracemalloc_module
         tracemalloc = tracemalloc_module
         tracemalloc.start()
-    epoch_stats = None
-    if kernel_breakdown:
-        from repro.hostmodel.cpu import epoch_stats, reset_epoch_stats
-        reset_epoch_stats()
     reset_kernel_stats()
     profiler = cProfile.Profile()
     started = time.perf_counter()  # simlint: disable=no-wallclock
@@ -162,7 +150,6 @@ def profile_experiment(experiment: str, profile: str = "quick",
         profiler.disable()
     wall = time.perf_counter() - started  # simlint: disable=no-wallclock
     kernel = kernel_stats()
-    epochs = epoch_stats() if epoch_stats is not None else None
 
     stats = pstats.Stats(profiler, stream=io.StringIO())
     stats.sort_stats("tottime")
@@ -191,7 +178,7 @@ def profile_experiment(experiment: str, profile: str = "quick",
                          wall_seconds=wall, kernel=kernel,
                          top_functions=top_functions,
                          peak_traced_mb=peak_mb, trace_top=trace_top,
-                         epochs=epochs)
+                         kernel_breakdown=kernel_breakdown)
 
 
 def write_json(report: ProfileReport, path: str) -> None:

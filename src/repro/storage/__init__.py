@@ -4,8 +4,7 @@ Layers (bottom up):
 
 * :class:`~repro.storage.device.StorageDevice` — a profile-driven device
   model (:func:`~repro.storage.device.make_device` builds HDD/SSD/NVMe
-  tiers from a declarative :class:`~repro.storage.device.DeviceProfile`;
-  the old ``SsdDevice`` name is a deprecated alias).
+  tiers from a declarative :class:`~repro.storage.device.DeviceProfile`).
 * :class:`~repro.storage.stream.StreamLayer` — an append-only replicated
   stream layer (streams as ordered extent lists, sealed extents, atomic
   appends) that HDFS blocks map onto.
@@ -40,7 +39,6 @@ from repro.storage.device import (
     make_device,
     resolve_profile,
 )
-from repro.storage.disk import SsdDevice
 from repro.storage.filesystem import (
     FileHandle,
     FileSystem,
@@ -77,7 +75,6 @@ __all__ = [
     "PageCache",
     "PatternSource",
     "SSD_PROFILE",
-    "SsdDevice",
     "StorageDevice",
     "Stream",
     "StreamError",

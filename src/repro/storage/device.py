@@ -10,7 +10,7 @@ space (slow to fast):
   modest sequential bandwidth, queue depth 1.
 * ``ssd``  — the paper's testbed device: seek-free, constants inherited
   from the :class:`~repro.hostmodel.costs.CostModel` so the default
-  cluster stays byte-identical to the original ``SsdDevice`` timeline.
+  cluster keeps the original SSD device timeline byte for byte.
 * ``nvme`` — seek-free, multi-queue: ``queue_depth`` requests in service
   concurrently, each at full per-request cost.
 
@@ -23,9 +23,7 @@ service time (noisy-neighbour / flaky-virtual-disk spikes) and a
 *failing* device raises :class:`DiskError` on every request, which the
 layers above translate into replica failover or a vRead fallback.
 
-Construct devices through :func:`make_device`; the legacy
-:class:`~repro.storage.disk.SsdDevice` name survives as a deprecated
-alias.
+Construct devices through :func:`make_device`.
 """
 
 from __future__ import annotations
@@ -143,7 +141,7 @@ class StorageDevice:
     tracks the head position from *positioned* requests (those passing
     ``offset=``); legacy offset-free requests are treated as sequential
     continuations and never charge seek — which is also what keeps the
-    seek-free tiers bit-identical to the pre-profile ``SsdDevice``.
+    seek-free tiers bit-identical to the pre-profile SSD device.
     """
 
     def __init__(self, sim: Simulator, profile: ProfileLike = None,

@@ -61,19 +61,11 @@ def test_clients_facade_per_vm():
     assert cluster.clients.get() is cluster.clients.get(mode="vanilla")
 
 
-def test_direct_add_client_vm_is_a_deprecated_shim():
-    cluster = VirtualHadoopCluster(block_size=1 << 20)
-    with pytest.warns(DeprecationWarning, match="membership.add_client_vm"):
-        vm = cluster.add_client_vm("client2")
-    assert vm.name in cluster.membership.client_vm_names()
-    cluster.remove_client_vm("client2")
-    assert "client2" not in cluster.membership.client_vm_names()
-
-
 def test_deprecated_client_aliases_removed():
-    # The clients facade is the only way in; the old alias trio is gone.
+    # The clients facade and the membership controller are the only ways
+    # in; the old alias trio and the add_client_vm shim are gone.
     cluster = VirtualHadoopCluster(block_size=1 << 20)
-    for alias in ("client", "vanilla_client", "client_for"):
+    for alias in ("client", "vanilla_client", "client_for", "add_client_vm"):
         assert not hasattr(cluster, alias)
 
 

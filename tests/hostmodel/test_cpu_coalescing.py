@@ -4,15 +4,21 @@ The exhaustive cross-checking against the per-slice reference lives in
 ``tests/properties/test_slice_equivalence.py``; these tests pin the
 individual mechanisms — whole-burst timers, contender demotion, the
 accounting settle hook, frequency-change re-folding, mutex/core ceremony
-elision, and the sanitize-mode routing back to the reference loop.
+elision, and the sanitize-mode routing back to the reference loop.  The
+contended-round cases at the end oversubscribe the cores for whole runs
+and require exact equality with the ``legacy_slices()`` reference.
 """
 
 import pytest
 
+from repro.cluster import VirtualHadoopCluster, rack_cluster
+from repro.cluster.topology import VmSpec
 from repro.hostmodel.costs import CostModel
-from repro.hostmodel.cpu import CpuScheduler, legacy_slices
+from repro.hostmodel.cpu import (CpuScheduler, epoch_stats, legacy_slices,
+                                 reset_epoch_stats)
 from repro.metrics.accounting import CpuAccounting, OTHERS
-from repro.sim import Interrupt, Simulator
+from repro.sim import AllOf, Interrupt, Simulator
+from repro.storage.content import PatternSource
 
 ZERO_SWITCH = CostModel().with_overrides(context_switch_cycles=0.0,
                                          wakeup_stacking_delay_seconds=0.0)
@@ -208,3 +214,172 @@ def test_fast_and_legacy_agree_on_contended_schedule():
             return sim.now, sorted(finish), sorted(acct.snapshot().items())
 
     assert run(False) == run(True)
+
+
+# ------------------------------------------------------ contended rounds
+# Real switch costs so 'others' charges discriminate schedules; no wake
+# stacking so the contended rotation is deterministic across modes.
+COSTS = CostModel().with_overrides(wakeup_stacking_delay_seconds=0.0)
+
+
+def run_batch(fast, n=8, cycles=48e6, cores=4, probe_at=None,
+              freq_dance=None, interrupt_at=None):
+    """n staggered CPU hogs on ``cores`` cores; returns full observables."""
+    with legacy_slices(not fast):
+        sim = Simulator()
+        acct = CpuAccounting()
+        sched = CpuScheduler(sim, cores, 3.2e9, acct, COSTS)
+        finish, probes, caught = [], [], []
+        victims = []
+
+        def worker(i):
+            thread = sched.thread(f"t{i}")
+            yield sim.timeout(i * 1e-5)
+            try:
+                yield from thread.run(cycles + i * 1000, "work")
+            except Interrupt:
+                caught.append((f"t{i}", sim.now))
+                return
+            finish.append((f"t{i}", sim.now))
+
+        for i in range(n):
+            victims.append(sim.process(worker(i)))
+        if probe_at is not None:
+            def prober():
+                yield sim.timeout(probe_at)
+                probes.append(sorted(acct.snapshot().items()))
+            sim.process(prober())
+        if freq_dance is not None:
+            def dancer():
+                at, freq = freq_dance
+                yield sim.timeout(at)
+                sched.set_frequency(freq)
+            sim.process(dancer())
+        if interrupt_at is not None:
+            def sniper():
+                at, idx = interrupt_at
+                yield sim.timeout(at)
+                victims[idx].interrupt("contended round")
+            sim.process(sniper())
+        sim.run()
+        return (sim.now, sorted(finish), sorted(caught), probes,
+                sorted(acct.snapshot().items()))
+
+
+def test_contended_batch_fast_equals_reference():
+    fast = run_batch(fast=True)
+    assert fast == run_batch(fast=False)
+    assert len(fast[1]) == 8
+
+
+def test_contended_batch_mid_round_probes_match_reference():
+    # Each probe lands while all eight hogs round-robin on four cores: the
+    # settle hook must fold exactly the reference's per-slice charges.
+    for probe_at in (0.0045, 0.006, 0.0101):
+        fast = run_batch(fast=True, probe_at=probe_at)
+        assert fast == run_batch(fast=False, probe_at=probe_at)
+        assert fast[3] and fast[3][0]
+
+
+def test_contended_batch_frequency_change_matches_reference():
+    fast = run_batch(fast=True, freq_dance=(0.0043, 2.4e9))
+    assert fast == run_batch(fast=False, freq_dance=(0.0043, 2.4e9))
+
+
+def test_contended_batch_interrupt_matches_reference():
+    for at, idx in ((0.0047, 2), (0.0071, 6)):
+        fast = run_batch(fast=True, interrupt_at=(at, idx))
+        assert fast == run_batch(fast=False, interrupt_at=(at, idx))
+        assert fast[2] == [(f"t{idx}", pytest.approx(at))]
+
+
+def test_periodic_hogs_with_probes_match_reference():
+    # lookbusy-style duty cycles: run/sleep loops that repeatedly form and
+    # drain the contended round, observed by a mid-flight prober.
+    def run(fast):
+        with legacy_slices(not fast):
+            sim = Simulator()
+            acct = CpuAccounting()
+            sched = CpuScheduler(sim, 2, 3.2e9, acct, COSTS)
+            probes = []
+
+            def hog(i):
+                thread = sched.thread(f"hog{i}")
+                for _ in range(12):
+                    yield from thread.run(27.2e6 + i * 640, "spin")
+                    yield sim.timeout(0.0015)
+
+            for i in range(4):
+                sim.process(hog(i))
+
+            def prober():
+                while sim.now < 0.05:
+                    yield sim.timeout(0.0031)
+                    probes.append(sorted(acct.snapshot().items()))
+
+            sim.process(prober())
+            sim.run()
+            return sim.now, probes, sorted(acct.snapshot().items())
+
+    assert run(True) == run(False)
+
+
+def _contended_rack_point(fast, horizon=0.5, hogs_per_host=6):
+    """Checksum-verified reads on a rack whose hosts are oversubscribed by
+    lookbusy VMs, then run to a fixed horizon: the final clock, the
+    verdicts, every host's accounting and its core waiters at the end."""
+    with legacy_slices(not fast):
+        topology = rack_cluster(1, 2, clients=2)
+        for rack in topology.racks:
+            for host in rack.hosts:
+                for j in range(hogs_per_host):
+                    host.add(VmSpec(f"{host.name}-bg{j + 1}", "background"))
+        cluster = VirtualHadoopCluster(block_size=1 << 20, replication=2,
+                                       vread=True, topology=topology)
+        sim = cluster.sim
+        payloads = [PatternSource(1 << 20, seed=80 + i)
+                    for i in range(len(cluster.client_vms))]
+
+        def load():
+            for i, payload in enumerate(payloads):
+                yield from cluster.write_dataset(f"/racks/f{i}", payload)
+
+        cluster.run(sim.process(load()))
+        # No settle(): the lookbusy hogs never quiesce.
+        clients = [cluster.clients.get(vm=vm) for vm in cluster.client_vms]
+        verdicts = []
+
+        def reader(client, index):
+            source = yield from client.read_file(f"/racks/f{index}", 1 << 20)
+            verdicts.append(source.checksum() == payloads[index].checksum())
+
+        def job():
+            yield AllOf(sim, [sim.process(reader(client, i))
+                              for i, client in enumerate(clients)])
+
+        cluster.run(sim.process(job()))
+        sim.run(until=sim.now + horizon)
+        waiting = {host.name: host.scheduler.runnable_waiting
+                   for host in cluster.hosts}
+        for hog in cluster.lookbusy:
+            hog.stop()
+        return (sim.now, verdicts, waiting,
+                {host.name: sorted(host.accounting.snapshot().items())
+                 for host in cluster.hosts})
+
+
+def test_contended_rack_point_fast_equals_reference():
+    fast = _contended_rack_point(fast=True)
+    assert fast == _contended_rack_point(fast=False)
+    assert fast[1] == [True, True]
+    assert any(fast[2].values())  # cores really oversubscribed
+
+
+def test_epoch_stats_stub_reads_zero():
+    # The epoch counters outlive their engine only for the benchmark
+    # harness: fixed keys, always zero, reset is a no-op.
+    reset_epoch_stats()
+    run_batch(fast=True)
+    assert epoch_stats() == {"epochs_formed": 0, "epochs_completed": 0,
+                             "epochs_demoted": 0, "epochs_rejected": 0,
+                             "epoch_records": 0}

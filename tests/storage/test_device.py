@@ -11,7 +11,6 @@ from repro.storage.device import (
     SSD_PROFILE,
     DeviceProfile,
     DiskError,
-    StorageDevice,
     make_device,
     resolve_profile,
 )
@@ -66,7 +65,7 @@ def test_builtin_tier_ranks_order_slow_to_fast():
 
 # ------------------------------------------------------------ service time
 def test_ssd_matches_cost_model_byte_identically():
-    # The default profile must reproduce the pre-profile SsdDevice timing
+    # The default profile must reproduce the pre-profile SSD device timing
     # exactly (0.0 seek + cost-model constants), or the golden timelines
     # and fig09/fig11 pins would drift.
     sim = Simulator()
@@ -185,16 +184,6 @@ def test_failing_device_raises_disk_error():
 
 
 # ----------------------------------------------------------- compatibility
-def test_ssd_device_alias_is_deprecated():
-    from repro.storage.disk import SsdDevice
-
-    with pytest.warns(DeprecationWarning, match="make_device"):
-        device = SsdDevice(Simulator())
-    assert isinstance(device, StorageDevice)
-    assert device.profile is SSD_PROFILE
-    assert device.name == "ssd"
-
-
 def test_make_device_default_is_ssd():
     device = make_device(Simulator())
     assert device.profile is SSD_PROFILE
