@@ -6,7 +6,7 @@ install:
 	python setup.py develop
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest tests/
 
 lint:
 	PYTHONPATH=src python -m repro.analysis src/repro
@@ -48,19 +48,19 @@ profile:
 	PYTHONPATH=src python -m repro profile $(EXP) $(PROFILE_FLAGS)
 
 bench-tables:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 report:
-	python -m repro.experiments.run_all --ablations
+	PYTHONPATH=src python -m repro.experiments.run_all --ablations
 
 paper-report:
-	python -m repro.experiments.run_all --paper
+	PYTHONPATH=src python -m repro.experiments.run_all --paper
 
 quick-report:
-	python -m repro.experiments.run_all --quick
+	PYTHONPATH=src python -m repro.experiments.run_all --quick
 
 demo:
-	python -m repro demo
+	PYTHONPATH=src python -m repro demo
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true

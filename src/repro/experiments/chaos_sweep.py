@@ -61,7 +61,7 @@ def run_case(plan_seed: int, file_bytes: int = 4 << 20,
 
     source = cluster.run(cluster.sim.process(read()))
     elapsed = cluster.sim.now - start
-    verified = source.checksum() == payload.checksum()
+    verified = source.same_bytes(payload)
     case = ChaosCase(
         plan_seed=plan_seed,
         read_ms=elapsed * 1e3,

@@ -118,9 +118,9 @@ def _measure(vread: bool, churn: str, file_bytes: int, duration: float,
             start = sim.now
             source = yield from clients[index].read_file(
                 f"/churn/f{index}", 1 << 20)
-            if source.checksum() != payloads[index].checksum():
+            if not source.same_bytes(payloads[index]):
                 raise RuntimeError(
-                    f"checksum mismatch reading /churn/f{index}")
+                    f"data mismatch reading /churn/f{index}")
             latencies.append(sim.now - start)
             yield sim.timeout(think)
 

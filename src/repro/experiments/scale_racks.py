@@ -9,9 +9,11 @@ ToR->aggregation uplink, and the vRead transports pick RDMA inside a rack
 but user-space TCP across racks — so the aggregate-throughput curve bends
 where the fabric, not the host CPU, becomes the bottleneck.
 
-Every read is checksum-verified against its written payload, and the
-rack-aware placement decisions are visible in the cluster trace as
-``placement.*`` counter events.
+Every read is verified against its written payload with
+:meth:`~repro.storage.content.ByteSource.same_bytes`: a read that resolves
+to the payload's own window is equal by identity, without synthesizing or
+hashing the 16 MB.  The rack-aware placement decisions are visible in the
+cluster trace as ``placement.*`` counter events.
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ def _measure(vread: bool, n_racks: int, file_bytes: int,
 
     def reader(client, index):
         source = yield from client.read_file(f"/racks/f{index}", 1 << 20)
-        if source.checksum() != payloads[index].checksum():
+        if not source.same_bytes(payloads[index]):
             raise RuntimeError(
-                f"checksum mismatch reading /racks/f{index} "
+                f"data mismatch reading /racks/f{index} "
                 f"on {client.vm.name}")
 
     def job():

@@ -15,8 +15,9 @@ Layers (bottom up):
 * :class:`~repro.storage.content.ByteSource` — real bytes
   (:class:`~repro.storage.content.LiteralSource`) or deterministic generated
   bytes (:class:`~repro.storage.content.PatternSource`), so tests verify
-  end-to-end data integrity while benchmarks use GB-scale files without
-  materializing them.
+  end-to-end data integrity while benchmarks use GB-scale files that are
+  never materialized: verify a read against its payload with
+  :meth:`~repro.storage.content.ByteSource.same_bytes`.
 * :class:`~repro.storage.filesystem.FileSystem` — an ext-like tree of
   inodes/dentries with read/write/append, used for guest filesystems and the
   host filesystem.

@@ -4,8 +4,10 @@ The simulation moves *actual data* so correctness is testable end to end.
 Small test files use :class:`LiteralSource` (real bytes in memory);
 benchmark files of hundreds of megabytes use :class:`PatternSource`, which
 generates any requested range deterministically from a seed — two reads of
-the same range always return identical bytes, and the full file never needs
-to be materialized.
+the same range always return identical bytes, and the full file is never
+materialized.  :meth:`ByteSource.same_bytes` verifies a read against its
+written payload without synthesizing either when both are one window of
+one store.
 
 Two access styles exist on every source:
 
@@ -153,6 +155,24 @@ class ByteSource:
         self._checksum_hex = digest.hexdigest()
         return self._checksum_hex
 
+    def same_bytes(self, other: "ByteSource") -> bool:
+        """True when ``self`` and ``other`` hold the same bytes now.
+
+        The identity rule on the fast plane: two sources that resolve to
+        the same window of one store (compared with ``is``, at call time)
+        are equal without reading or hashing a byte.  Sources of different
+        sizes are unequal; any other pair compares their checksums.  The
+        legacy plane always compares checksums.
+        """
+        if self.size != other.size:
+            return False
+        if not _legacy_buffers:
+            store, start = self._view_key()
+            other_store, other_start = other._view_key()
+            if store is other_store and start == other_start:
+                return True
+        return self.checksum() == other.checksum()
+
 
 class LiteralSource(ByteSource):
     """Content backed by real bytes in memory."""
@@ -181,61 +201,20 @@ class PatternSource(ByteSource):
 
     The byte at absolute position ``i`` depends only on ``(seed, i)``, so any
     sub-range can be generated independently: block ``i`` of 32 bytes is
-    SHA-256(seed, i).
-
-    Synthesis is pure sha256, which dominates the wall-clock of any
-    workload that streams the same payload more than once (a write pass
-    plus checksum-verified read passes).  Sources up to
-    ``_MATERIALIZE_CAP`` therefore materialize their content once on
-    first fast-plane access and serve every later range as a memcpy; the
-    buffer is shared across instances through a per-process cache keyed
-    by ``(seed, size)`` (two sweep points with the same payload spec
-    synthesize once).  Content is identical either way — the cache holds
-    exactly the bytes the streaming synthesis produces — and the legacy
-    plane (``REPRO_LEGACY_BUFFERS``) never materializes, so the
-    equivalence tests keep proving byte-identity.  Larger sources keep
-    the original promise: any range on demand, never the whole file.
+    SHA-256(seed, i).  Any range is synthesized on demand and the whole
+    file never is, so a verified read compares sources with
+    :meth:`ByteSource.same_bytes` instead of hashing their bytes.
     """
 
     _BLOCK = 32  # sha256 digest size
-
-    #: Sources at or under this size serve reads from materialized bytes.
-    _MATERIALIZE_CAP = 32 << 20
-
-    #: Per-process cache budget for shared materialized content.
-    _CACHE_BUDGET = 256 << 20
-
-    _cache: "dict" = {}          # (seed, size) -> bytes, insertion-ordered
-    _cache_bytes = 0
 
     def __init__(self, size: int, seed: int = 0):
         super().__init__(size)
         self.seed = seed
         self._prefix = f"pattern:{seed}:".encode()
-        self._data = None
 
     def _block(self, index: int) -> bytes:
         return hashlib.sha256(self._prefix + b"%d" % index).digest()
-
-    def _materialize(self) -> bytes:
-        """Full content as one shared bytes object (synthesized once)."""
-        data = self._data
-        if data is not None:
-            return data
-        cls = PatternSource
-        key = (self.seed, self.size)
-        data = cls._cache.get(key)
-        if data is None:
-            buf = bytearray(self.size)
-            self._synthesize(0, memoryview(buf))
-            data = bytes(buf)
-            cls._cache[key] = data
-            cls._cache_bytes += len(data)
-            while cls._cache_bytes > cls._CACHE_BUDGET and len(cls._cache) > 1:
-                oldest = next(iter(cls._cache))
-                cls._cache_bytes -= len(cls._cache.pop(oldest))
-        self._data = data
-        return data
 
     def read(self, offset: int, length: int) -> bytes:
         n = self._clamp(offset, length)
@@ -256,9 +235,6 @@ class PatternSource(ByteSource):
         n = self._clamp(offset, len(view))
         if n == 0:
             return 0
-        if not _legacy_buffers and self.size <= self._MATERIALIZE_CAP:
-            view[:n] = memoryview(self._materialize())[offset:offset + n]
-            return n
         return self._synthesize(offset, view[:n])
 
     def _synthesize(self, offset: int, view) -> int:
@@ -296,10 +272,6 @@ class PatternSource(ByteSource):
         if _legacy_buffers:
             return super().checksum(chunk)
         if self._checksum_hex is not None:
-            return self._checksum_hex
-        if self.size <= self._MATERIALIZE_CAP:
-            digest = hashlib.sha256(self._materialize())
-            self._checksum_hex = digest.hexdigest()
             return self._checksum_hex
         digest = hashlib.sha256()
         sha = hashlib.sha256

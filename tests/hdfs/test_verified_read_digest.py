@@ -7,7 +7,8 @@ parts, back to the writer's source and returning its memoized digest.
 These tests count the sha256 ``update`` calls ``repro.storage.content``
 issues while a two-block file read is checksummed: none on the vanilla
 path, on vRead, or from a replica re-replicated onto a datanode that
-joined after the write.
+joined after the write.  The registry's verify sites go one step further
+and synthesize no payload byte at all.
 """
 
 import hashlib
@@ -83,3 +84,43 @@ def test_whole_file_verified_read_hashes_nothing(monkeypatch, vread,
 
     assert _run(cluster, read()) == stored
     assert counter.updates == 0
+
+
+# ----------------------------------------------------------- zero synthesis
+def _racks():
+    from repro.experiments import scale_racks
+    scale_racks._measure(True, 2, 2 << 20)
+
+
+def _churn():
+    from repro.experiments import scale_churn
+    assert scale_churn._measure(True, "migrate", 1 << 20, 1.0).reads > 0
+
+
+def _chaos():
+    from repro.experiments import chaos_sweep
+    assert chaos_sweep.run_case(0).verified
+
+
+def _demo():
+    from repro.cli import main
+    assert main(["demo"]) == 0
+
+
+@pytest.mark.parametrize("run", [_racks, _churn, _chaos, _demo],
+                         ids=["scale-racks", "scale-churn", "chaos-sweep",
+                              "demo"])
+def test_verified_reads_synthesize_nothing(monkeypatch, run):
+    """Every verify site compares the read with its payload by view
+    identity (``ByteSource.same_bytes``): both resolve to the same window
+    of the writer's ``PatternSource``, so no byte of either is made."""
+    synthesized = SimpleNamespace(bytes=0)
+    synthesize = PatternSource._synthesize
+
+    def counting(self, offset, view):
+        synthesized.bytes += len(view)
+        return synthesize(self, offset, view)
+
+    monkeypatch.setattr(PatternSource, "_synthesize", counting)
+    run()
+    assert synthesized.bytes == 0

@@ -167,17 +167,18 @@ def test_inode_range_source_window_reads(case):
 #   ("rewrite", file, store, a, b) truncates a file and re-appends other
 #       bytes, never fewer than before, after views over it were taken.
 # ``a``/``b`` pick windows (a % 3 == 0 is the whole source) and how a
-# window is cut into pieces (see ``_pieces``).
+# window is cut into pieces (see ``_pieces``).  Store 3 holds store 0's
+# bytes as a literal: equal bytes under a different identity.
 _N = 1 << 16
 _steps = st.one_of(
     st.tuples(st.just("append"),
               st.sampled_from(["store", "packets", "file"]),
-              st.integers(0, 3), st.integers(0, 2),
+              st.integers(0, 3), st.integers(0, 3),
               st.integers(0, _N), st.integers(0, _N)),
     st.tuples(st.just("view"),
               st.sampled_from(["range", "slice", "concat", "split"]),
               st.integers(0, 7), st.integers(0, _N), st.integers(0, _N)),
-    st.tuples(st.just("rewrite"), st.integers(0, 3), st.integers(0, 2),
+    st.tuples(st.just("rewrite"), st.integers(0, 3), st.integers(0, 3),
               st.integers(0, _N), st.integers(0, _N)),
 )
 
@@ -201,22 +202,36 @@ def _pieces(base, offset, n, a):
     return [SliceSource(base, *cuts[j * stride % k]) for j in range(k)]
 
 
-def _assert_digests_match_bytes(views, chunk):
+def _assert_digests_match_bytes(views, stores, chunk):
+    contents = {}
     for view in views:
-        expected = hashlib.sha256(view.read(0, view.size)).hexdigest()
+        contents[id(view)] = view.read(0, view.size)
+        expected = hashlib.sha256(contents[id(view)]).hexdigest()
         assert view.checksum(chunk) == expected
         with legacy_buffers():
             assert view.checksum(chunk) == expected
+    for store in stores:
+        contents[id(store)] = store.read(0, store.size)
+    for a in views:
+        for b in views + stores:
+            same = contents[id(a)] == contents[id(b)]
+            assert a.same_bytes(b) == same
+            with legacy_buffers():
+                assert a.same_bytes(b) == same
 
 
 def _play(steps, chunk):
     """Build the layout step by step; after every step each view's digest
-    must equal the hash of its current bytes on both data planes."""
+    must equal the hash of its current bytes, and ``same_bytes`` must agree
+    with comparing the bytes for every view against every view and every
+    writer store, on both data planes."""
     # Store sizes divide by 2, 3 and 4, so repeated pieces can add up to
     # a whole store.
-    stores = [PatternSource(3 * PAGE_SIZE, seed=11),
+    pattern = PatternSource(3 * PAGE_SIZE, seed=11)
+    stores = [pattern,
               LiteralSource(bytes(i * 7 % 251 for i in range(PAGE_SIZE + 8))),
-              ZeroSource(2 * PAGE_SIZE)]
+              ZeroSource(2 * PAGE_SIZE),
+              LiteralSource(pattern.read(0, pattern.size))]
     cursors = [0] * len(stores)
     files, views = [], []
     for step in steps:
@@ -267,7 +282,7 @@ def _play(steps, chunk):
             inode.append(SliceSource(store, *_window(store.size, a, b)))
             if inode.size < old_size:
                 inode.append(PatternSource(old_size - inode.size, seed=a))
-        _assert_digests_match_bytes(views, chunk)
+        _assert_digests_match_bytes(views, stores, chunk)
 
 
 @given(steps=st.lists(_steps, min_size=1, max_size=12),
@@ -289,6 +304,25 @@ def _play(steps, chunk):
 @example(steps=[("append", "store", 0, 0, 0, 0),
                 ("view", "range", 0, 0, 0),
                 ("view", "split", 0, 9, 0)],
+         chunk=1 << 20)
+# same_bytes by identity: equal-size windows of one store at different
+# starts differ; a prefix window is not its whole store; equal bytes under
+# different identities are equal; a view over a live inode that was
+# truncated and re-appended resolves anew on every call.
+@example(steps=[("append", "store", 0, 0, 1, 99),
+                ("append", "store", 1, 0, 2, 99),
+                ("view", "range", 0, 0, 0),
+                ("view", "range", 1, 0, 0)],
+         chunk=1 << 20)
+@example(steps=[("append", "packets", 0, 0, 4, 99),
+                ("view", "range", 0, 0, 0)],
+         chunk=1 << 20)
+@example(steps=[("append", "store", 0, 3, 0, 0),
+                ("view", "range", 0, 0, 0)],
+         chunk=1 << 20)
+@example(steps=[("append", "store", 0, 0, 0, 0),
+                ("view", "range", 0, 0, 0),
+                ("rewrite", 0, 2, 0, 0)],
          chunk=1 << 20)
 def test_checksum_equals_hash_of_bytes_for_any_layout(steps, chunk):
     _play(steps, chunk)

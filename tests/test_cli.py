@@ -29,6 +29,17 @@ def test_demo_verifies_data(capsys):
     assert "vanilla" in out and "vRead" in out and "verified" in out
 
 
+def test_demo_fails_on_mismatched_data(capsys, monkeypatch):
+    # An explicit check, not an ``assert`` that ``python -O`` strips.
+    from repro.storage.content import ByteSource
+
+    monkeypatch.setattr(ByteSource, "same_bytes", lambda self, other: False)
+    assert main(["demo"]) == 1
+    captured = capsys.readouterr()
+    assert "verified" not in captured.out
+    assert "does not match" in captured.err
+
+
 def test_no_command_errors():
     with pytest.raises(SystemExit):
         main([])
