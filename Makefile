@@ -38,6 +38,7 @@ load-smoke:
 
 storage-smoke:
 	PYTHONPATH=src python -m pytest tests/storage tests/cluster/test_storage_tiers.py tests/properties/test_stream_properties.py -q
+	PYTHONPATH=src python -m pytest tests/properties/test_zero_copy.py -k pagecache -q
 
 churn-smoke:
 	PYTHONPATH=src python -m pytest tests/cluster/test_membership.py tests/load/test_autoscale.py tests/experiments/test_scale_churn.py -q

@@ -91,7 +91,7 @@ class Datanode:
         if event == "delete" and datanode_id == self.datanode_id:
             path = self.block_path(block.name)
             try:
-                self.vm.guest_fs.unlink(path)
+                self.vm.unlink(path)
             except FsError:
                 pass
 

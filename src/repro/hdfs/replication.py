@@ -272,8 +272,7 @@ class ReplicationMonitor:
             # notification would drop the block's stream-layer mapping,
             # but the block itself lives on (on the other replicas).
             try:
-                source_dn.vm.guest_fs.unlink(
-                    source_dn.block_path(block.name))
+                source_dn.vm.unlink(source_dn.block_path(block.name))
             except FsError:
                 pass
             self.rebalance_moves += 1

@@ -8,7 +8,8 @@ Layers (bottom up):
 * :class:`~repro.storage.stream.StreamLayer` — an append-only replicated
   stream layer (streams as ordered extent lists, sealed extents, atomic
   appends) that HDFS blocks map onto.
-* :class:`~repro.storage.pagecache.PageCache` — LRU page cache; both the
+* :class:`~repro.storage.pagecache.PageCache` — page cache that tracks
+  residency as page runs per object (LRU only when bounded); both the
   host kernel and every guest kernel own one.  Cache hits skip device time
   but still pay copy costs, which is exactly what makes the paper's re-read
   results interesting.

@@ -112,7 +112,17 @@ class VirtualMachine:
     def delete_file(self, path: str):
         """Generator: unlink a file (namespace change bumps fs generation)."""
         yield from self.vcpu.run(self.costs.syscall_cycles, OTHERS)
+        self.unlink(path)
+
+    def unlink(self, path: str) -> None:
+        """Unlink a file and drop its pages from the guest page cache.
+
+        Raises :class:`~repro.storage.filesystem.FsError` like
+        :meth:`FileSystem.unlink`, leaving the cache untouched.
+        """
+        inode = self.guest_fs.lookup(path)
         self.guest_fs.unlink(path)
+        self.guest_cache.invalidate(self.image.cache_key(inode))
 
     def rename_file(self, old: str, new: str):
         """Generator: rename within the guest filesystem."""

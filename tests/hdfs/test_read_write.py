@@ -158,6 +158,20 @@ def test_delete_removes_replica_files(hadoop_bed):
     assert not hadoop_bed.client.exists("/f")
 
 
+def test_delete_drops_replica_pages_from_guest_cache(hadoop_bed):
+    cache = hadoop_bed.datanode1_vm.guest_cache
+    before = cache.resident_pages
+    write(hadoop_bed, "/f", PatternSource(256 * 1024, seed=4),
+          favored=["dn1"])
+    assert cache.resident_pages > before
+
+    def proc():
+        yield from hadoop_bed.client.delete("/f")
+
+    hadoop_bed.run(hadoop_bed.sim.process(proc()))
+    assert cache.resident_pages == before
+
+
 def test_remote_read_uses_the_wire(hadoop_bed):
     write(hadoop_bed, "/remote", PatternSource(256 * 1024, seed=2),
           favored=["dn2"])

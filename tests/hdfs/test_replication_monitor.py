@@ -151,3 +151,21 @@ def test_recovered_node_leaves_dead_set(hadoop_bed):
     run_for(bed, 3.0)
     monitor.stop()
     assert not monitor.is_dead("dn1")
+
+
+def test_rebalance_drops_moved_replica_pages_from_donor_cache(hadoop_bed):
+    bed = hadoop_bed
+    cache = bed.datanode1_vm.guest_cache
+    write(bed, "/a", PatternSource(64 * 1024, seed=1), favored=["dn1"])
+    one_block = cache.resident_pages
+    write(bed, "/b", PatternSource(64 * 1024, seed=2), favored=["dn1"])
+    assert cache.resident_pages > one_block
+    monitor = ReplicationMonitor(bed.namenode, bed.network)
+
+    def proc():
+        return (yield from monitor.rebalance())
+
+    assert bed.run(bed.sim.process(proc())) == 1
+    # Both blocks are the same size, so whichever moved, the donor is back
+    # to holding one block's pages.
+    assert cache.resident_pages == one_block

@@ -330,7 +330,7 @@ def test_checksum_equals_hash_of_bytes_for_any_layout(steps, chunk):
 
 # --------------------------------------------------------------- page cache
 class _ReferenceLru:
-    """The pre-optimization PageCache accounting, kept as an oracle."""
+    """The per-page PageCache accounting, kept as an oracle."""
 
     def __init__(self, capacity_pages):
         from collections import OrderedDict
@@ -349,6 +349,10 @@ class _ReferenceLru:
                 missing += 1
         return missing * PAGE_SIZE
 
+    def contains(self, key, offset, length):
+        return all((key, page) in self.pages
+                   for page in PageCache.page_span(offset, length))
+
     def insert(self, key, offset, length):
         for page in PageCache.page_span(offset, length):
             entry = (key, page)
@@ -360,6 +364,22 @@ class _ReferenceLru:
                     self.pages.popitem(last=False)
                     self.evictions += 1
 
+    def invalidate(self, key):
+        stale = [entry for entry in self.pages if entry[0] == key]
+        for entry in stale:
+            del self.pages[entry]
+        return len(stale)
+
+    def drop(self):
+        self.pages.clear()
+
+
+_CACHE_KEYS = ("a", "b")
+# Ranges start on any of the first 48 pages and span up to 40 pages, so
+# they overlap, abut and bridge one another; the sub-page jitter puts their
+# ends mid-page.  Every page they can touch lies below _CACHE_DOMAIN.
+_CACHE_DOMAIN = 48 + 40 + 2
+
 
 @st.composite
 def cache_workload(draw):
@@ -368,23 +388,46 @@ def cache_workload(draw):
     ops = []
     for _ in range(n_ops):
         ops.append((
-            draw(st.sampled_from(["miss_then_insert", "probe"])),
-            draw(st.sampled_from(["a", "b"])),
-            draw(st.sampled_from(
-                [0, 1, PAGE_SIZE - 1, PAGE_SIZE, 3 * PAGE_SIZE])),
-            draw(st.sampled_from([1, PAGE_SIZE, 2 * PAGE_SIZE + 5])),
+            draw(st.sampled_from(["miss_then_insert", "probe", "contains",
+                                  "invalidate", "drop"])),
+            draw(st.sampled_from(_CACHE_KEYS)),
+            draw(st.integers(0, 47)) * PAGE_SIZE
+            + draw(st.sampled_from([0, 1, PAGE_SIZE - 1])),
+            draw(st.integers(0, 40)) * PAGE_SIZE
+            + draw(st.sampled_from([0, 1, 5])),
         ))
     return capacity_pages, ops
 
 
+_P = PAGE_SIZE
+_INF = float("inf")
+
+
 @given(workload=cache_workload())
 @settings(max_examples=60, deadline=None)
+# An insert that abuts a run on its left, one that abuts a run on its
+# right, one that bridges two runs, a partial overlap, and an invalidate
+# followed by a re-insert of the same key.
+@example(workload=(_INF, [("miss_then_insert", "a", 0, 4 * _P),
+                          ("miss_then_insert", "a", 4 * _P, 4 * _P)]))
+@example(workload=(_INF, [("miss_then_insert", "a", 4 * _P, 4 * _P),
+                          ("miss_then_insert", "a", 0, 4 * _P)]))
+@example(workload=(_INF, [("miss_then_insert", "a", 0, 4 * _P),
+                          ("miss_then_insert", "a", 8 * _P, 4 * _P),
+                          ("miss_then_insert", "a", 2 * _P, 8 * _P)]))
+@example(workload=(_INF, [("miss_then_insert", "a", 0, 4 * _P),
+                          ("miss_then_insert", "a", 2 * _P, 4 * _P)]))
+@example(workload=(_INF, [("miss_then_insert", "a", 0, 4 * _P),
+                          ("invalidate", "a", 0, 0),
+                          ("miss_then_insert", "a", 2 * _P, 4 * _P)]))
 def test_pagecache_accounting_matches_reference_lru(workload):
-    """The split bounded/unbounded fast paths keep exact LRU semantics.
+    """Page runs (unbounded) and the per-page LRU (bounded) match the oracle.
 
     Capacities of a few pages force evictions right at the LRU boundary —
     the regime where a recency-bookkeeping bug changes which page gets
-    evicted and therefore every later hit/miss count.
+    evicted and therefore every later hit/miss count.  Unbounded caches
+    are checked through the public API only: per-page ``contains`` over
+    the whole domain and ``resident_pages`` after every operation.
     """
     capacity_pages, ops = workload
     capacity_bytes = (float("inf") if capacity_pages == float("inf")
@@ -392,16 +435,27 @@ def test_pagecache_accounting_matches_reference_lru(workload):
     cache = PageCache(capacity_bytes=capacity_bytes)
     oracle = _ReferenceLru(capacity_pages)
     for op, key, offset, length in ops:
-        missing = cache.missing_bytes(key, offset, length)
-        assert missing == oracle.missing_bytes(key, offset, length)
-        if op == "miss_then_insert":
-            cache.insert(key, offset, length)
-            oracle.insert(key, offset, length)
+        if op == "contains":
+            assert cache.contains(key, offset, length) == \
+                oracle.contains(key, offset, length)
+        elif op == "invalidate":
+            assert cache.invalidate(key) == oracle.invalidate(key)
+        elif op == "drop":
+            cache.drop()
+            oracle.drop()
+        else:
+            missing = cache.missing_bytes(key, offset, length)
+            assert missing == oracle.missing_bytes(key, offset, length)
+            if op == "miss_then_insert":
+                cache.insert(key, offset, length)
+                oracle.insert(key, offset, length)
         assert cache.resident_pages == len(oracle.pages)
+        for page_key in _CACHE_KEYS:
+            for page in range(_CACHE_DOMAIN):
+                assert cache.contains(page_key, page * PAGE_SIZE, 1) == \
+                    ((page_key, page) in oracle.pages)
     assert (cache.hits, cache.misses, cache.evictions) == \
         (oracle.hits, oracle.misses, oracle.evictions)
     if capacity_pages != float("inf"):
         # LRU order is only observable (and only maintained) when bounded.
         assert list(cache._pages) == list(oracle.pages)
-    else:
-        assert set(cache._pages) == set(oracle.pages)

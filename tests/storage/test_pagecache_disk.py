@@ -1,4 +1,6 @@
-"""Tests for the LRU page cache and the SSD device model."""
+"""Tests for the page cache and the SSD device model."""
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,24 @@ def test_inserted_pages_are_resident_until_evicted(ops):
         inserted.add((key, page))
     for key, page in inserted:
         assert cache.contains(key, page * PAGE_SIZE, PAGE_SIZE)
+
+
+def test_unbounded_cache_state_does_not_grow_per_page():
+    """64 MiB resident in 64 KiB inserts costs a few runs, not 16k entries."""
+    size, chunk = 64 << 20, 64 << 10
+    tracemalloc.start()
+    try:
+        cache = PageCache()
+        for offset in range(0, size, chunk):
+            cache.insert("f", offset, chunk)
+        missing = sum(cache.missing_bytes("f", offset, chunk)
+                      for offset in range(0, size, chunk))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cache.resident_pages == 16384
+    assert missing == 0
+    assert peak < 64 * 1024
 
 
 # ------------------------------------------------------------------------ SSD

@@ -193,3 +193,16 @@ def test_zero_length_read(single_host_bed, vm):
         return source.size
 
     assert bed.run(bed.sim.process(proc())) == 0
+
+
+def test_delete_file_drops_guest_cache_pages(single_host_bed, vm):
+    bed = single_host_bed
+    before = vm.guest_cache.resident_pages
+
+    def proc():
+        yield from vm.write_file("/data/x", PatternSource(1 << 20, seed=1))
+        assert vm.guest_cache.resident_pages == before + 256
+        yield from vm.delete_file("/data/x")
+
+    bed.run(bed.sim.process(proc()))
+    assert vm.guest_cache.resident_pages == before
