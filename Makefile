@@ -1,6 +1,6 @@
 # Convenience targets for the vRead reproduction.
 
-.PHONY: install test lint analyze chaos bench bench-smoke load-smoke storage-smoke churn-smoke profile bench-tables report paper-report quick-report demo clean
+.PHONY: install test lint analyze chaos bench bench-smoke kernel-smoke load-smoke storage-smoke churn-smoke profile bench-tables report paper-report quick-report demo clean
 
 install:
 	python setup.py develop
@@ -30,6 +30,11 @@ bench:
 bench-smoke:
 	PYTHONPATH=src python -m pytest benchmarks/e2e -q
 	python3 benchmarks/e2e/bench.py --workload churn --runs 1 --check
+
+# Event kernel and CPU model: their unit suites (the cancelled-timer
+# retention tests live in tests/sim) and the fast-vs-reference identity.
+kernel-smoke:
+	PYTHONPATH=src python -m pytest tests/sim tests/hostmodel tests/experiments/test_reference_equivalence.py -q
 
 # Subsystem smokes: the load, tiered-storage and elastic-membership
 # suites, including their determinism and memory-flatness gates.

@@ -1,11 +1,10 @@
 """Rule ``no-direct-heapq``: keep priority-queue code inside the kernel.
 
-The kernel owns event ordering: :mod:`repro.sim.kernel` picks the pending
-structure (timer wheel vs the ``REPRO_LEGACY_HEAP`` reference) and carries
-the ``(when, seq)`` tie-break that makes runs reproducible.  A component
-that reaches for ``heapq`` directly builds a second, untoggleable ordering
-path: it bypasses the wheel, the cancellation/compaction bookkeeping and
-the kernel counters, and its tie-breaks are whatever tuple shape the
+The kernel owns event ordering: :mod:`repro.sim.kernel` keeps the one
+event heap and carries the ``(when, seq)`` tie-break that makes runs
+reproducible.  A component that reaches for ``heapq`` directly builds a
+second ordering path: it bypasses the cancellation/compaction bookkeeping
+and the kernel counters, and its tie-breaks are whatever tuple shape the
 author happened to pick.  Schedule through ``Simulator`` instead.  Code
 that needs a heap only for local arithmetic, never for event scheduling,
 may annotate the import with a pragma saying so.
@@ -26,7 +25,7 @@ from repro.analysis.core import LintContext, Rule, Violation, register
 class NoDirectHeapqRule(Rule):
     name = "no-direct-heapq"
     description = ("bans heapq use outside sim/ — event ordering belongs "
-                   "to the kernel (timer wheel + (when, seq) tie-break); "
+                   "to the kernel (one heap + (when, seq) tie-break); "
                    "schedule through Simulator instead")
 
     def __init__(self, allow: Sequence[str] = ("*/sim/*", "sim/*")):

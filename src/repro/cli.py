@@ -10,8 +10,8 @@ Commands:
 * ``profile <name> [--quick|--paper] [--memory] [--kernel] [--json OUT]``
   — run one experiment under the profiling harness (cProfile + kernel
   counters; see :mod:`repro.perf`) and print the hot functions and
-  events/sec summary.  ``--kernel`` adds the timer-wheel breakdown
-  (wheel advances, cascades, overflow promotions).
+  events/sec summary.  ``--kernel`` adds the event-heap breakdown
+  (events, cancelled timers discarded, compactions, high water).
 * ``demo`` — the quickstart: vanilla vs vRead on one file, verified.
 
 The experiment table itself lives in :mod:`repro.experiments.registry`;
@@ -176,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="also trace allocations (tracemalloc; "
                                   "slower)")
     parser_prof.add_argument("--kernel", action="store_true",
-                             help="also break down the timer wheel "
-                                  "(advances, cascades, overflow)")
+                             help="also break down the event heap "
+                                  "(events, cancelled discarded, "
+                                  "compactions, high water)")
     parser_prof.add_argument("--json", metavar="OUT",
                              help="also write the report as JSON to OUT")
     parser_prof.set_defaults(func=cmd_profile)

@@ -464,11 +464,12 @@ class CpuScheduler:
             if boundary == burst.armed_end:
                 burst.switch_end_wake = switch_end
                 continue  # already slice-granular
+            # Take the listeners before cancelling: cancel() releases them.
+            callbacks = timer.callbacks
             timer.cancel()
             replacement = AbsoluteTimeout(sim, boundary)
             burst.arm_seq = sim._seq
-            replacement.callbacks = timer.callbacks
-            timer.callbacks = None
+            replacement.callbacks = callbacks
             burst.timer = replacement
             burst.armed_end = boundary
             burst.switch_end_wake = switch_end

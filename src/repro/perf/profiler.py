@@ -41,7 +41,7 @@ class ProfileReport:
         default_factory=list)          # (location, calls, tottime, cumtime)
     peak_traced_mb: Optional[float] = None    # tracemalloc high-water
     trace_top: List[Tuple[str, float]] = field(default_factory=list)
-    kernel_breakdown: bool = False     # render the wheel counters (--kernel)
+    kernel_breakdown: bool = False     # render the heap counters (--kernel)
 
     @property
     def events_per_second(self) -> float:
@@ -95,10 +95,10 @@ class ProfileReport:
             lines += [
                 "",
                 "  kernel breakdown:",
-                f"    wheel advances     {k.get('wheel_advances', 0):10d}"
-                f"   (cascades {k.get('wheel_cascades', 0)})",
-                f"    overflow promoted  {k.get('wheel_overflow', 0):10d}"
-                f"   (max bucket {k.get('wheel_max_bucket', 0)})",
+                f"    events              {k.get('events_processed', 0):10d}",
+                f"    cancelled discarded {k.get('cancelled_discarded', 0):10d}",
+                f"    compactions         {k.get('compactions', 0):10d}",
+                f"    heap high water     {k.get('heap_high_water', 0):10d}",
             ]
         lines += ["", "  hottest functions (by internal time):"]
         width = max((len(where) for where, *_ in self.top_functions),
@@ -130,8 +130,9 @@ def profile_experiment(experiment: str, profile: str = "quick",
     ``memory=True`` additionally enables tracemalloc (slower: every
     allocation is traced) and reports the peak traced heap plus the
     largest allocation sites.  ``kernel_breakdown=True`` additionally
-    renders the timer wheel's cascade/overflow counters, so a regression
-    in the wheel shows up as counter drift, not just wall time.
+    renders the event heap's counters (events, cancelled timers
+    discarded, compactions, high water), so a regression in the kernel
+    shows up as counter drift, not just wall time.
     """
     from repro.experiments import runner
 

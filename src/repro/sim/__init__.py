@@ -31,9 +31,7 @@ from repro.sim.events import (
     SimulationError,
     Timeout,
 )
-from repro.sim.kernel import (Simulator, kernel_stats, legacy_heap,
-                              legacy_heap_enabled, reset_kernel_stats,
-                              use_legacy_heap)
+from repro.sim.kernel import Simulator, kernel_stats, reset_kernel_stats
 from repro.sim.process import Process
 from repro.sim.resources import (
     Container,
@@ -63,10 +61,7 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "kernel_stats",
-    "legacy_heap",
-    "legacy_heap_enabled",
     "reset_kernel_stats",
-    "use_legacy_heap",
     "Store",
     "Timeout",
 ]

@@ -114,11 +114,7 @@ class Event:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past ({delay})")
         sim._seq += 1
-        wheel = sim._wheel
-        if wheel is None:
-            heappush(sim._heap, (sim._now + delay, sim._seq, self, sim._now))
-        else:
-            wheel.schedule(sim._now + delay, sim._seq, self, sim._now)
+        heappush(sim._heap, (sim._now + delay, sim._seq, self, sim._now))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -181,11 +177,7 @@ class Timeout(Event):
         if sanitizer is not None:
             sanitizer.note_trigger(self)
         sim._seq += 1
-        wheel = sim._wheel
-        if wheel is None:
-            heappush(sim._heap, (sim._now + delay, sim._seq, self, sim._now))
-        else:
-            wheel.schedule(sim._now + delay, sim._seq, self, sim._now)
+        heappush(sim._heap, (sim._now + delay, sim._seq, self, sim._now))
 
     def cancel(self) -> None:
         """Withdraw the timeout before it fires.
@@ -196,11 +188,22 @@ class Timeout(Event):
         won race does not stretch the simulation's drain horizon.  Only
         call this when no process still depends on the timeout firing.
 
+        The callbacks are released at once: the heap entry may wait a long
+        time for the head or a compaction, and through its callbacks it
+        would pin the finished race (the condition, the sub-process, its
+        frames and its result).  The list is rebound, not cleared in place,
+        so a caller that took the old list keeps it, and it is a fresh list,
+        not ``None``, so the timeout does not read as processed.  A caller
+        that moves the listeners elsewhere must take them before cancelling.
+        Cancelling a timeout that has already fired does nothing: it is no
+        longer on the heap.
+
         Cancelled entries are counted; once enough accumulate the kernel
         compacts the heap so long chaos runs stop carrying dead timers.
         """
-        if not self._cancelled:
+        if not self._cancelled and self.callbacks is not None:
             self._cancelled = True
+            self.callbacks = []
             self.sim._note_cancelled()
 
     def __repr__(self) -> str:
@@ -236,11 +239,7 @@ class AbsoluteTimeout(Timeout):
         if sanitizer is not None:
             sanitizer.note_trigger(self)
         sim._seq += 1
-        wheel = sim._wheel
-        if wheel is None:
-            heappush(sim._heap, (when, sim._seq, self, sim._now))
-        else:
-            wheel.schedule(when, sim._seq, self, sim._now)
+        heappush(sim._heap, (when, sim._seq, self, sim._now))
 
 
 class Condition(Event):

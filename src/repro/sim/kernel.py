@@ -4,22 +4,14 @@
 a float in **seconds**.  Ties are broken by insertion order, making runs
 fully deterministic.
 
-Two interchangeable pending-event structures exist behind the
-``REPRO_LEGACY_HEAP`` toggle (mirroring ``REPRO_LEGACY_SLICES`` in the CPU
-scheduler):
-
-* the **binary heap** reference (``REPRO_LEGACY_HEAP=1``): a single
-  ``heapq`` of ``(when, seq, event, scheduled_at)`` tuples — the pre-PR10
-  kernel, kept verbatim as the semantic reference;
-* the **timer wheel** default (:class:`_Wheel`): a calendar-queue with a
-  bucketed near band (O(1) schedule for the dense short-horizon timers the
-  CPU scheduler generates) and a heap-ordered far-future overflow band that
-  cascades into the near band as the cursor advances.
-
-Both structures drain entries in exactly the same ``(when, seq)`` order, so
-every golden timeline is byte-identical between them; the hypothesis suite
-``tests/properties/test_wheel_equivalence.py`` pins that equivalence on
-random schedule/cancel/reschedule interleavings.
+The pending structure is one binary heap (``heapq``) of ``(when, seq,
+event, scheduled_at)`` tuples, drained in ``(when, seq)`` order.  It holds
+only live work: a popped entry is gone, and a cancelled timer
+(:meth:`~repro.sim.events.Timeout.cancel`) drops its callbacks at once, so
+the entry that waits for the head (or for a compaction) pins nothing but
+the timer itself.  On the registry the heap never holds more than about
+520 entries, nearly all of them cancelled deadline timers, so a push costs
+about nine comparisons.
 
 Passing ``sanitize=True`` (or setting ``REPRO_SANITIZE=1`` in the
 environment) arms the runtime sanitizer: non-monotonic clock advances,
@@ -28,15 +20,14 @@ raise :class:`~repro.sim.events.SanitizerError` with a diagnostic naming
 the offending processes.  See :mod:`repro.sim.sanitizer`.
 
 The loop also keeps cheap occupancy statistics (events processed, cancelled
-timers discarded, pending high-water mark, compactions, wheel cascade and
-overflow counts) that the profiling harness (``python -m repro profile
---kernel``) reads via :func:`kernel_stats`.
+timers discarded, pending high-water mark, compactions) that the profiling
+harness (``python -m repro profile --kernel``) reads via
+:func:`kernel_stats`.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import Any, Dict, Generator, Optional
 
@@ -49,36 +40,6 @@ from repro.sim.sanitizer import Sanitizer
 #: this many cancelled timers are outstanding *and* they make up half of it.
 _COMPACT_MIN = 512
 
-_legacy_heap = os.environ.get("REPRO_LEGACY_HEAP", "") not in ("", "0")
-
-
-def use_legacy_heap(enabled: bool) -> None:
-    """Route new simulators through the binary-heap reference kernel."""
-    global _legacy_heap
-    _legacy_heap = bool(enabled)
-
-
-def legacy_heap_enabled() -> bool:
-    """True when the binary-heap reference kernel is selected."""
-    return _legacy_heap
-
-
-class legacy_heap:
-    """Context manager: temporarily select the binary-heap reference."""
-
-    def __init__(self, enabled: bool = True):
-        self._enabled = enabled
-        self._previous = None
-
-    def __enter__(self) -> "legacy_heap":
-        self._previous = _legacy_heap
-        use_legacy_heap(self._enabled)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        use_legacy_heap(self._previous)
-
-
 #: Process-wide kernel counters, summed over every Simulator as its run
 #: loop exits (the profiling harness resets/reads these around a workload).
 _STATS: Dict[str, int] = {}
@@ -88,8 +49,7 @@ def reset_kernel_stats() -> None:
     """Zero the process-wide kernel counters (see :func:`kernel_stats`)."""
     _STATS.update(simulators=0, events_processed=0, events_scheduled=0,
                   cancelled_discarded=0, compactions=0, heap_high_water=0,
-                  wheel_cascades=0, wheel_overflow=0, wheel_advances=0,
-                  wheel_max_bucket=0)
+                  wheel_overflow=0)
 
 
 def kernel_stats() -> Dict[str, int]:
@@ -99,194 +59,17 @@ def kernel_stats() -> Dict[str, int]:
     entries whose callbacks ran, ``cancelled_discarded`` counts withdrawn
     timers dropped (at the head or by compaction), and ``heap_high_water``
     is the largest pending-entry count observed (sampled every 256 events,
-    so it is a close lower bound, not an exact maximum).  Wheel-kernel runs
-    additionally report ``wheel_advances`` (cursor moves to a non-empty
-    bucket), ``wheel_cascades`` (entries promoted overflow band -> near
-    band), ``wheel_overflow`` (entries scheduled beyond the near horizon)
-    and ``wheel_max_bucket`` (largest bucket sorted).
+    so it is a close lower bound, not an exact maximum).
+
+    ``wheel_overflow`` is always 0.  It counted the deleted timer wheel's
+    far-future band and is kept only for ``benchmarks/e2e/bench.py``; this
+    stub goes when the benchmark's next change drops its
+    ``sim.kernel.wheel_overflow`` metric (ROADMAP.md, item 1).
     """
     return dict(_STATS)
 
 
 reset_kernel_stats()
-
-#: Bucket-index sentinel for times too large to index (inf and beyond the
-#: integer-safe product range); such entries share one far-future bucket,
-#: inside which the full ``(when, seq)`` sort still orders them exactly.
-_FARK = 1 << 62
-
-
-class _Wheel:
-    """Calendar-queue pending-event structure (the default kernel).
-
-    Entries are the same ``(when, seq, event, scheduled_at)`` tuples the
-    heap kernel uses.  An entry's absolute bucket index is
-    ``int(when * inv_width)`` — monotone non-decreasing in ``when``, so
-    bucket order respects time order and entries that compare equal on
-    ``when`` always share a bucket, where a plain tuple sort restores the
-    exact ``(when, seq)`` drain order.
-
-    Bands:
-
-    * **near band** — ``nbuckets`` rotating slots covering
-      ``[cursor, cursor + nbuckets)`` bucket indices; appends are O(1) and
-      each bucket is sorted lazily once, when the cursor enters it.
-      Non-empty buckets register their absolute index in ``bucket_heap`` so
-      sparse regions are skipped without scanning empty slots.
-    * **overflow band** — a binary heap holding entries beyond the near
-      horizon; runs of eligible entries cascade into the near band as the
-      cursor approaches (amortized one move per entry).
-
-    Entries landing at or behind the cursor (same-instant scheduling while
-    draining, or test-injected past entries) insort into the *current*
-    bucket at the drain position, preserving global order.
-    """
-
-    __slots__ = ("inv_width", "nbuckets", "mask", "buckets", "cursor",
-                 "cur", "pos", "bucket_heap", "overflow", "size",
-                 "cascades", "overflow_pushes", "advances", "max_bucket")
-
-    def __init__(self, width_bits: int = 14, bucket_bits: int = 12):
-        #: Bucket width is 2**-width_bits seconds (default ~61us): dense
-        #: slice/wire timers land a handful per bucket, and the multiply by
-        #: an exact power of two keeps the index computation cheap.
-        self.inv_width = float(1 << width_bits)
-        self.nbuckets = 1 << bucket_bits
-        self.mask = self.nbuckets - 1
-        self.buckets = [[] for _ in range(self.nbuckets)]
-        self.cursor = 0
-        self.cur: list = []
-        self.pos = 0
-        #: Min-heap of absolute bucket indices with (possibly stale)
-        #: pending entries; stale indices are discarded on pop.
-        self.bucket_heap: list = []
-        self.overflow: list = []
-        self.size = 0
-        self.cascades = 0
-        self.overflow_pushes = 0
-        self.advances = 0
-        self.max_bucket = 0
-
-    def _index(self, when: float) -> int:
-        x = when * self.inv_width
-        return int(x) if x < 1e18 else _FARK
-
-    def schedule(self, when: float, seq: int, event, scheduled_at: float) -> None:
-        """Place one entry; the wheel-kernel analogue of ``heappush``."""
-        x = when * self.inv_width
-        k = int(x) if x < 1e18 else _FARK
-        cursor = self.cursor
-        if k <= cursor:
-            # Sub-bucket-width timers land in the bucket being drained;
-            # monotone schedulers append at the tail, the rest insort at
-            # the drain position.
-            cur = self.cur
-            entry = (when, seq, event, scheduled_at)
-            if not cur or cur[-1] < entry:
-                cur.append(entry)
-            else:
-                insort(cur, entry, self.pos)
-        elif k < cursor + self.nbuckets:
-            slot = self.buckets[k & self.mask]
-            if not slot:
-                heappush(self.bucket_heap, k)
-            slot.append((when, seq, event, scheduled_at))
-        else:
-            heappush(self.overflow, (when, seq, event, scheduled_at))
-            self.overflow_pushes += 1
-        self.size += 1
-
-    def _advance(self) -> bool:
-        """Move the cursor to the next non-empty bucket (sorting it);
-        cascades eligible overflow entries first.  False when drained."""
-        bucket_heap = self.bucket_heap
-        overflow = self.overflow
-        buckets = self.buckets
-        mask = self.mask
-        while True:
-            while bucket_heap and bucket_heap[0] <= self.cursor:
-                heappop(bucket_heap)
-            if overflow:
-                head_k = self._index(overflow[0][0])
-                nxt = bucket_heap[0] if bucket_heap else None
-                if nxt is None:
-                    # Near band empty: jump the cursor to the overflow head
-                    # and pull in the band-wide run that starts there.
-                    self.cursor = head_k - 1
-                    limit = head_k + self.nbuckets
-                elif head_k <= nxt:
-                    # Entries at/before the next bucket must land in their
-                    # buckets before that bucket is sealed and sorted.
-                    limit = nxt + 1
-                else:
-                    limit = None
-                if limit is not None:
-                    moved = 0
-                    while overflow:
-                        entry = overflow[0]
-                        k = self._index(entry[0])
-                        if k >= limit:
-                            break
-                        heappop(overflow)
-                        slot = buckets[k & mask]
-                        if not slot:
-                            heappush(bucket_heap, k)
-                        slot.append(entry)
-                        moved += 1
-                    self.cascades += moved
-                    continue
-            if not bucket_heap:
-                return False
-            k = heappop(bucket_heap)
-            slot = k & mask
-            bucket = buckets[slot]
-            if not bucket:
-                continue  # emptied by compaction; index went stale
-            buckets[slot] = []
-            bucket.sort()
-            self.cursor = k
-            self.cur = bucket
-            self.pos = 0
-            self.advances += 1
-            if len(bucket) > self.max_bucket:
-                self.max_bucket = len(bucket)
-            return True
-
-    def next_entry(self):
-        """The next entry in drain order (cancelled included), without
-        consuming it; ``None`` when the wheel is empty."""
-        pos = self.pos
-        cur = self.cur
-        if pos < len(cur):
-            return cur[pos]
-        if self._advance():
-            return self.cur[0]
-        return None
-
-    def compact(self) -> int:
-        """Drop cancelled entries everywhere; returns the number removed."""
-        removed = 0
-        cur = self.cur
-        pos = self.pos
-        live = [entry for entry in cur[pos:] if not entry[2]._cancelled]
-        removed += len(cur) - pos - len(live)
-        self.cur = live
-        self.pos = 0
-        buckets = self.buckets
-        for slot, bucket in enumerate(buckets):
-            if bucket:
-                keep = [entry for entry in bucket
-                        if not entry[2]._cancelled]
-                if len(keep) != len(bucket):
-                    removed += len(bucket) - len(keep)
-                    buckets[slot] = keep
-        overflow = [entry for entry in self.overflow
-                    if not entry[2]._cancelled]
-        removed += len(self.overflow) - len(overflow)
-        heapify(overflow)
-        self.overflow = overflow
-        self.size -= removed
-        return removed
 
 
 class Simulator:
@@ -297,9 +80,6 @@ class Simulator:
             sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
         self._now: float = 0.0
         self._heap: list = []
-        #: Timer-wheel pending structure, or ``None`` under the
-        #: ``REPRO_LEGACY_HEAP`` reference (then ``_heap`` is live).
-        self._wheel: Optional[_Wheel] = None if _legacy_heap else _Wheel()
         self._seq: int = 0
         self._active_process: Optional[Process] = None
         #: Simulated time at which the pending entry currently being
@@ -352,12 +132,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past ({delay})")
         self._seq += 1
-        wheel = self._wheel
-        if wheel is None:
-            heappush(self._heap,
-                     (self._now + delay, self._seq, event, self._now))
-        else:
-            wheel.schedule(self._now + delay, self._seq, event, self._now)
+        heappush(self._heap, (self._now + delay, self._seq, event, self._now))
 
     def schedule_at(self, when: float, event: Event) -> None:
         """Schedule a triggered event at absolute time ``when``.
@@ -370,60 +145,41 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past ({when} < {self._now})")
         self._seq += 1
-        wheel = self._wheel
-        if wheel is None:
-            heappush(self._heap, (when, self._seq, event, self._now))
-        else:
-            wheel.schedule(when, self._seq, event, self._now)
+        heappush(self._heap, (when, self._seq, event, self._now))
 
     def _push_entry(self, entry) -> None:
         """Place a raw ``(when, seq, event, scheduled_at)`` entry directly.
 
-        Test/diagnostic hook, kernel-agnostic: the heap takes it verbatim;
-        the wheel clamps a past-time entry into the current bucket so it
-        drains next (where sanitize mode then reports the non-monotonic
-        clock, exactly as the heap reference would).
+        Test/diagnostic hook: a past-time entry drains next, where sanitize
+        mode then reports the non-monotonic clock.
         """
-        wheel = self._wheel
-        if wheel is None:
-            heappush(self._heap, entry)
-        else:
-            wheel.schedule(*entry)
+        heappush(self._heap, entry)
 
     def _quiet_at(self, now: float) -> bool:
         """True when no pending entry (cancelled included) is due at or
         before ``now`` — the CPU scheduler's ceremony-elision guard."""
-        wheel = self._wheel
-        if wheel is None:
-            heap = self._heap
-            return not heap or heap[0][0] > now
-        entry = wheel.next_entry()
-        return entry is None or entry[0] > now
+        heap = self._heap
+        return not heap or heap[0][0] > now
 
     def _pending_count(self) -> int:
         """Number of pending entries (cancelled included)."""
-        wheel = self._wheel
-        return len(self._heap) if wheel is None else wheel.size
+        return len(self._heap)
 
     def _note_cancelled(self) -> None:
         """Bookkeeping for :meth:`Timeout.cancel`; may trigger compaction."""
         n = self._ncancelled + 1
         self._ncancelled = n
-        if n >= _COMPACT_MIN and n + n >= self._pending_count():
+        if n >= _COMPACT_MIN and n + n >= len(self._heap):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries from the pending structure (in place: the
-        run loops hold a reference to it)."""
-        wheel = self._wheel
-        if wheel is None:
-            heap = self._heap
-            live = [entry for entry in heap if not entry[2]._cancelled]
-            removed = len(heap) - len(live)
-            heap[:] = live
-            heapify(heap)
-        else:
-            removed = wheel.compact()
+        """Drop cancelled entries from the heap (in place: the run loop
+        holds a reference to it)."""
+        heap = self._heap
+        live = [entry for entry in heap if not entry[2]._cancelled]
+        removed = len(heap) - len(live)
+        heap[:] = live
+        heapify(heap)
         self._ncancelled = 0
         self.compactions += 1
         self.cancelled_discarded += removed
@@ -436,26 +192,26 @@ class Simulator:
         """The one event-loop body behind :meth:`run` and
         :meth:`run_until_complete`.
 
-        Pops and fires events until the pending structure empties, the next
-        event lies beyond ``until``, or ``wait`` triggers.  Returns ``True``
-        if the loop stopped because a bound was reached, ``False`` if it
-        drained dry.
+        Pops and fires events until the heap empties, the next event lies
+        beyond ``until``, or ``wait`` triggers.  Returns ``True`` if the
+        loop stopped because a bound was reached, ``False`` if it drained
+        dry.
         """
-        if self._wheel is not None:
-            return self._drain_wheel(until, wait)
         heap = self._heap
         sanitizer = self.sanitizer
         pop = heappop
         pending = _EVENT_PENDING
+        bounded = wait is not None or until is not None
         processed = 0
         discarded = 0
         high_water = self.heap_high_water
         try:
             while heap:
-                if wait is not None and wait._value is not pending:
-                    return True
-                if until is not None and heap[0][0] > until:
-                    return True
+                if bounded:
+                    if wait is not None and wait._value is not pending:
+                        return True
+                    if until is not None and heap[0][0] > until:
+                        return True
                 when, _, event, scheduled_at = pop(heap)
                 if event._cancelled:
                     discarded += 1
@@ -489,105 +245,6 @@ class Simulator:
             self._flushed_seq = self._seq
             if high_water > _STATS["heap_high_water"]:
                 _STATS["heap_high_water"] = high_water
-
-    def _drain_wheel(self, until: Optional[float] = None,
-                     wait: Optional[Event] = None) -> bool:
-        """:meth:`_drain` over the timer wheel — same loop, same stats.
-
-        The bucket walk is inlined (no :meth:`_Wheel.next_entry` call per
-        event) and the wheel's ``size`` is flushed in batches at the
-        high-water sample points; callbacks that schedule or cancel during
-        processing see ``wheel.cur``/``wheel.pos`` current because both are
-        written back before any callback runs.
-        """
-        wheel = self._wheel
-        sanitizer = self.sanitizer
-        pending = _EVENT_PENDING
-        processed = 0
-        discarded = 0
-        flushed = 0
-        bounded = wait is not None or until is not None
-        high_water = self.heap_high_water
-        cur = wheel.cur
-        pos = wheel.pos
-        try:
-            while True:
-                try:
-                    entry = cur[pos]
-                except IndexError:
-                    wheel.pos = pos
-                    if not wheel._advance():
-                        return False
-                    cur = wheel.cur
-                    pos = 0
-                    entry = cur[0]
-                when, _, event, scheduled_at = entry
-                if bounded:
-                    if wait is not None and wait._value is not pending:
-                        return True
-                    if until is not None and when > until:
-                        return True
-                pos += 1
-                if event._cancelled:
-                    discarded += 1
-                    continue
-                if sanitizer is not None and when < self._now:
-                    wheel.pos = pos
-                    raise sanitizer.non_monotonic_error(when)
-                self._now = when
-                self._active_sched_time = scheduled_at
-                processed += 1
-                if not processed & 255:
-                    wheel.size -= processed + discarded - flushed
-                    flushed = processed + discarded
-                    if wheel.size > high_water:
-                        high_water = wheel.size
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    # Sync the drain position first: callbacks may schedule
-                    # same-instant entries (insort at the position), cancel,
-                    # or compact.
-                    wheel.pos = pos
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    if wheel.cur is not cur:
-                        # A callback compacted the wheel (current bucket
-                        # was rebuilt): drop the stale view.
-                        cur = wheel.cur
-                        pos = wheel.pos
-                elif not event._ok and not event._defused:
-                    wheel.pos = pos
-                    raise event._value
-        finally:
-            if wheel.cur is cur:
-                wheel.pos = pos
-            wheel.size -= processed + discarded - flushed
-            self._active_sched_time = None
-            self.events_processed += processed
-            self.cancelled_discarded += discarded
-            self._ncancelled = max(0, self._ncancelled - discarded)
-            if high_water > self.heap_high_water:
-                self.heap_high_water = high_water
-            _STATS["events_processed"] += processed
-            _STATS["cancelled_discarded"] += discarded
-            _STATS["events_scheduled"] += self._seq - self._flushed_seq
-            self._flushed_seq = self._seq
-            if high_water > _STATS["heap_high_water"]:
-                _STATS["heap_high_water"] = high_water
-            if wheel.cascades:
-                _STATS["wheel_cascades"] += wheel.cascades
-                wheel.cascades = 0
-            if wheel.overflow_pushes:
-                _STATS["wheel_overflow"] += wheel.overflow_pushes
-                wheel.overflow_pushes = 0
-            if wheel.advances:
-                _STATS["wheel_advances"] += wheel.advances
-                wheel.advances = 0
-            if wheel.max_bucket > _STATS["wheel_max_bucket"]:
-                _STATS["wheel_max_bucket"] = wheel.max_bucket
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until no events remain, or until simulated time ``until``.
@@ -625,29 +282,14 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')`` if none."""
-        wheel = self._wheel
-        if wheel is None:
-            heap = self._heap
-            while heap and heap[0][2]._cancelled:
-                heappop(heap)
-                self.cancelled_discarded += 1
-                _STATS["cancelled_discarded"] += 1
-                if self._ncancelled:
-                    self._ncancelled -= 1
-            return heap[0][0] if heap else float("inf")
-        while True:
-            entry = wheel.next_entry()
-            if entry is None:
-                return float("inf")
-            if entry[2]._cancelled:
-                wheel.pos += 1
-                wheel.size -= 1
-                self.cancelled_discarded += 1
-                _STATS["cancelled_discarded"] += 1
-                if self._ncancelled:
-                    self._ncancelled -= 1
-                continue
-            return entry[0]
+        heap = self._heap
+        while heap and heap[0][2]._cancelled:
+            heappop(heap)
+            self.cancelled_discarded += 1
+            _STATS["cancelled_discarded"] += 1
+            if self._ncancelled:
+                self._ncancelled -= 1
+        return heap[0][0] if heap else float("inf")
 
     def __repr__(self) -> str:
         return f"<Simulator now={self._now} pending={self._pending_count()}>"

@@ -135,11 +135,7 @@ class Process(Event):
                 relay._defused = True
             relay.callbacks.append(self._resume)
             sim._seq += 1
-            wheel = sim._wheel
-            if wheel is None:
-                heappush(sim._heap, (sim._now, sim._seq, relay, sim._now))
-            else:
-                wheel.schedule(sim._now, sim._seq, relay, sim._now)
+            heappush(sim._heap, (sim._now, sim._seq, relay, sim._now))
             self._target = relay
 
     def __repr__(self) -> str:

@@ -1,9 +1,9 @@
 """Fast paths change host time only, never simulated results.
 
-Each registry experiment below runs twice: with every fast path on (timer
-wheel, coalesced CPU bursts, zero-copy buffers with digest reuse) and in
-the full reference configuration (binary heap, slice-by-slice CPU loop,
-join-and-slice bytes plane).  The canonical JSON must match byte for
+Each registry experiment below runs twice: with every fast path on
+(coalesced CPU bursts, zero-copy buffers with digest reuse) and in the
+full reference configuration (slice-by-slice CPU loop, join-and-slice
+bytes plane).  The canonical JSON must match byte for
 byte.  Component-level equivalence lives in ``tests/properties``; this
 pins the composition on whole experiments.
 """
@@ -12,7 +12,6 @@ import pytest
 
 from repro.experiments import dfsio_sweep, runner
 from repro.hostmodel.cpu import legacy_slices
-from repro.sim.kernel import legacy_heap
 from repro.storage.content import legacy_buffers
 
 
@@ -28,6 +27,6 @@ def test_all_fast_paths_match_full_reference(monkeypatch, name):
     monkeypatch.setattr(dfsio_sweep, "_cache", {})
     fast = _run(name)
     monkeypatch.setattr(dfsio_sweep, "_cache", {})
-    with legacy_heap(), legacy_slices(), legacy_buffers():
+    with legacy_slices(), legacy_buffers():
         reference = _run(name)
     assert fast == reference

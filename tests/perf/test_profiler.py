@@ -56,11 +56,13 @@ def test_kernel_breakdown_reports_fast_path_counters():
     report = profile_experiment("fig03", profile="quick", top=3,
                                 kernel_breakdown=True)
     assert report.kernel_breakdown
-    assert report.kernel["wheel_advances"] > 0
+    assert report.kernel["events_processed"] > 0
+    assert report.kernel["heap_high_water"] > 0
     text = report.render()
     assert "kernel breakdown" in text
-    assert "wheel advances" in text
-    assert "overflow promoted" in text
+    assert "cancelled discarded" in text
+    assert "compactions" in text
+    assert "wheel" not in text
     assert "epoch" not in text
 
 
