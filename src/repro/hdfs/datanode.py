@@ -9,7 +9,7 @@ over a TCP socket, paying every copy along the way.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.hdfs.config import HdfsConfig
 from repro.hdfs.namenode import Namenode
@@ -21,7 +21,7 @@ from repro.hdfs.protocol import (
     WritePacket,
 )
 from repro.metrics.accounting import OTHERS
-from repro.net.tcp import VmNetwork
+from repro.net.tcp import ConnectionClosed, VmNetwork
 from repro.sim import Interrupt
 from repro.storage.device import DiskError
 from repro.storage.filesystem import FsError
@@ -47,7 +47,9 @@ class Datanode:
         self.bytes_served = 0
         #: Failure injection: a stopped datanode refuses all requests.
         self.stopped = False
-        self._handlers: List = []
+        #: Live per-connection handler processes, in accept order; each
+        #: one removes itself when it finishes.
+        self._handlers: dict = {}
         self._serve_proc = vm.sim.process(self._serve())
 
     def stop(self) -> None:
@@ -104,11 +106,18 @@ class Datanode:
             except Interrupt:
                 # Shutdown: stop accepting for good.
                 return
-            self._handlers = [h for h in self._handlers if h.is_alive]
-            self._handlers.append(self.vm.sim.process(self._handle(connection)))
+            handler = self.vm.sim.process(self._handle(connection))
+            handler.callbacks.append(self._handler_done)
+            self._handlers[handler] = None
+            # Hold nothing across the next accept: a closed connection is
+            # freed as soon as its handler exits.
+            del connection, handler
+
+    def _handler_done(self, handler) -> None:
+        self._handlers.pop(handler, None)
 
     def _handle(self, connection):
-        """Serve sequential requests on one connection."""
+        """Serve sequential requests on one connection until it closes."""
         while True:
             try:
                 request = yield from connection.recv(self.vm)
@@ -124,8 +133,9 @@ class Datanode:
                 else:
                     yield from connection.send(
                         self.vm, ErrorResponse(f"bad request {request!r}"))
-            except Interrupt:
-                # Injected crash: drop the connection where it stood.
+            except (Interrupt, ConnectionClosed):
+                # Injected crash: drop the connection where it stood.  Or
+                # the client closed it: the DataXceiver thread exits.
                 return
 
     def _handle_read(self, connection, request: OpReadBlock):
@@ -172,37 +182,43 @@ class Datanode:
             self.vm.guest_cache.invalidate(self.vm.image.cache_key(inode))
             inode.truncate()
         downstream_conn = None
-        if request.downstream:
-            next_dn = self.namenode.datanode(request.downstream[0])
-            downstream_conn = yield from self.network.connect(
-                self.vm, next_dn.vm, self.config.datanode_port)
-            yield from downstream_conn.send(
-                self.vm, OpWriteBlock(request.block_name,
-                                      request.downstream[1:]))
-        while True:
-            packet = yield from connection.recv(self.vm)
-            if not isinstance(packet, WritePacket):
-                yield from connection.send(
-                    self.vm, ErrorResponse(f"expected packet, got {packet!r}"))
-                return
-            if downstream_conn is not None:
+        try:
+            if request.downstream:
+                next_dn = self.namenode.datanode(request.downstream[0])
+                downstream_conn = yield from self.network.connect(
+                    self.vm, next_dn.vm, self.config.datanode_port)
                 yield from downstream_conn.send(
-                    self.vm, packet, copy_category=OTHERS)
-            if packet.payload.size > 0:
-                yield from self.vm.vcpu.run(
-                    costs.hdfs_checksum_cycles_per_byte * packet.payload.size,
-                    OTHERS)
-                yield from self.vm.write_file(path, packet.payload,
-                                              copy_category=OTHERS)
-            if packet.last:
-                break
-        if downstream_conn is not None:
-            ack = yield from downstream_conn.recv(self.vm)
-            if not (isinstance(ack, Ack) and ack.ok):
-                yield from connection.send(
-                    self.vm, ErrorResponse("downstream pipeline failed"))
-                return
-        yield from connection.send(self.vm, Ack(request.block_name))
+                    self.vm, OpWriteBlock(request.block_name,
+                                          request.downstream[1:]))
+            while True:
+                packet = yield from connection.recv(self.vm)
+                if not isinstance(packet, WritePacket):
+                    yield from connection.send(
+                        self.vm,
+                        ErrorResponse(f"expected packet, got {packet!r}"))
+                    return
+                if downstream_conn is not None:
+                    yield from downstream_conn.send(
+                        self.vm, packet, copy_category=OTHERS)
+                if packet.payload.size > 0:
+                    yield from self.vm.vcpu.run(
+                        costs.hdfs_checksum_cycles_per_byte
+                        * packet.payload.size, OTHERS)
+                    yield from self.vm.write_file(path, packet.payload,
+                                                  copy_category=OTHERS)
+                if packet.last:
+                    break
+            if downstream_conn is not None:
+                ack = yield from downstream_conn.recv(self.vm)
+                if not (isinstance(ack, Ack) and ack.ok):
+                    yield from connection.send(
+                        self.vm, ErrorResponse("downstream pipeline failed"))
+                    return
+            yield from connection.send(self.vm, Ack(request.block_name))
+        finally:
+            # The downstream hop's handler exits on the FIN.
+            if downstream_conn is not None:
+                downstream_conn.close()
 
     def __repr__(self) -> str:
         return f"<Datanode {self.datanode_id} vm={self.vm.name}>"

@@ -195,6 +195,7 @@ class ReplicationMonitor:
             source_dn.vm, WritePacket(payload, last=True),
             size=payload.size)
         ack = yield from connection.recv(source_dn.vm)
+        connection.close()
         if not (isinstance(ack, Ack) and ack.ok):
             return False
         block.locations.append(target_dn.datanode_id)

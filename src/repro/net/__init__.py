@@ -19,9 +19,15 @@ Three layers:
 
 from repro.net.lan import HostNic, Lan
 from repro.net.rdma import RdmaLink, RdmaQueuePair
-from repro.net.tcp import TcpConnection, TcpListener, VmNetwork
+from repro.net.tcp import (
+    ConnectionClosed,
+    TcpConnection,
+    TcpListener,
+    VmNetwork,
+)
 
 __all__ = [
+    "ConnectionClosed",
     "HostNic",
     "Lan",
     "RdmaLink",

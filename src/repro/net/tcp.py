@@ -18,6 +18,18 @@ scheduler, every message crossing VMs synchronizes with up to four threads
 
 Payloads are real objects (bytes / ByteSource / protocol dataclasses); the
 wire size can be given explicitly for control messages.
+
+Closing a connection ends the conversation at both ends.  The first
+:meth:`TcpConnection.close` queues an end-of-stream marker (FIN) on each
+direction's send queue, behind any data already queued, so that data is
+still delivered in order.  The FIN costs nothing: no vCPU or vhost-net
+cycles and no wire time.  Each direction's pipe forwards it to the
+receive queue and exits, and a ``recv`` that takes it raises
+:class:`ConnectionClosed` before charging a cycle.  A server loop blocked
+in ``recv`` (the datanode's per-connection handler) therefore returns
+when its client closes, instead of staying blocked for the rest of the
+run.  A later ``close`` is a no-op; ``send``/``recv`` called after it
+raise :class:`~repro.sim.SimulationError`.
 """
 
 from __future__ import annotations
@@ -45,6 +57,14 @@ def payload_size(payload: Any, explicit: Optional[int] = None) -> int:
         return payload.nbytes
     #: Control/protocol objects default to a small header-sized message.
     return 128
+
+
+class ConnectionClosed(SimulationError):
+    """A ``recv`` reached the end-of-stream marker of a closed connection."""
+
+
+#: End-of-stream marker queued by :meth:`TcpConnection.close`.
+_FIN = object()
 
 
 class _Message:
@@ -89,6 +109,11 @@ class _Direction:
         costs = self.network.costs
         while True:
             message = yield self.tx.get()
+            if message is _FIN:
+                # Free and instant; not waiting on a full rx lets the pipe
+                # exit even when nobody reads this direction any more.
+                self.rx.put(_FIN)
+                return
             segments = costs.segments(message.size)
             vhost_cycles = (costs.vhost_segment_cycles * segments
                             + costs.vhost_copy_cycles_per_byte * message.size)
@@ -184,6 +209,8 @@ class TcpConnection:
         peer = self.peer_of(vm)
         direction = self._directions[peer.name]
         message = yield direction.rx.get()
+        if message is _FIN:
+            raise ConnectionClosed("connection closed")
         costs = self.network.costs
         segments = costs.segments(message.size)
         stack_cycles = (costs.virq_cycles + costs.syscall_cycles
@@ -195,7 +222,12 @@ class TcpConnection:
         return message.payload
 
     def close(self) -> None:
+        """End both directions after the data already queued (idempotent)."""
+        if self.closed:
+            return
         self.closed = True
+        for direction in self._directions.values():
+            direction.tx.put(_FIN)
 
     def __repr__(self) -> str:
         return f"<TcpConnection {self.vm_a.name}<->{self.vm_b.name}>"

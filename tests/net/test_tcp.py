@@ -1,10 +1,15 @@
 """Tests for VM-to-VM TCP: delivery, ordering, cost attribution, paths."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.metrics.accounting import CLIENT_APPLICATION, OTHERS, VHOST_NET
+from repro.net.tcp import ConnectionClosed
 from repro.sim import SimulationError
 from repro.storage.content import LiteralSource
+from tests.conftest import Testbed
 
 
 def _connect(bed, client, server, port=50010):
@@ -180,6 +185,94 @@ def test_send_after_close_rejected(single_host_bed):
     bed.sim.process(proc())
     with pytest.raises(SimulationError, match="closed"):
         bed.sim.run()
+
+
+def test_close_is_idempotent_and_recv_after_close_rejected(single_host_bed):
+    bed = single_host_bed
+    vm1, vm2 = bed.vms
+    conn = _connect(bed, vm1, vm2)
+    conn.close()
+    conn.close()  # the second close queues nothing
+    bed.sim.run()
+    # One FIN per direction, parked unread in the receive queue.
+    assert [(len(d.tx), len(d.rx)) for d in conn._directions.values()] \
+        == [(0, 1), (0, 1)]
+
+    def proc():
+        yield from conn.recv(vm2)
+
+    bed.sim.process(proc())
+    with pytest.raises(SimulationError, match="closed"):
+        bed.sim.run()
+
+
+def test_close_delivers_queued_data_in_order_then_fin(single_host_bed):
+    bed = single_host_bed
+    vm1, vm2 = bed.vms
+    conn = _connect(bed, vm1, vm2)
+    got = {}
+
+    def receiver(vm, key):
+        try:
+            got[key] = yield from conn.recv(vm)
+        except ConnectionClosed:
+            got[key] = "FIN"
+
+    # All receivers block before the close; the receive queue serves its
+    # getters first come, first served.
+    for key in range(3):
+        bed.sim.process(receiver(vm2, key))
+    bed.sim.process(receiver(vm1, "reverse"))
+
+    def sender():
+        yield from conn.send(vm1, b"first")
+        yield from conn.send(vm1, b"second")
+        conn.close()
+
+    bed.sim.process(sender())
+    bed.sim.run()
+    assert got == {0: b"first", 1: b"second", 2: "FIN", "reverse": "FIN"}
+
+
+def _exchange_costs(close):
+    bed = Testbed(n_hosts=2, vms_per_host=1)
+    vm1, vm2 = bed.vms
+    conn = _connect(bed, vm1, vm2)
+
+    def exchange():
+        def sender():
+            yield from conn.send(vm1, b"z" * 200_000)
+        bed.sim.process(sender())
+        yield from conn.recv(vm2)
+        if close:
+            conn.close()
+
+    bed.run(bed.sim.process(exchange()))
+    bed.sim.run()
+    return (bed.sim.now,
+            [host.accounting.by_thread() for host in bed.hosts],
+            [bed.lan.nic_of(host).bytes_sent for host in bed.hosts])
+
+
+def test_fin_charges_no_cpu_and_no_wire_time():
+    assert _exchange_costs(close=True) == _exchange_costs(close=False)
+
+
+def test_close_finishes_both_pipes_and_frees_the_connection(monkeypatch):
+    # The sanitizer registers every process, which exposes the pipes.
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    bed = Testbed(n_hosts=2, vms_per_host=1)
+    vm1, vm2 = bed.vms
+    conn = _connect(bed, vm1, vm2)
+    pipes = [p for p in bed.sim.sanitizer._processes if p.name == "_pipe"]
+    assert len(pipes) == 2 and all(p.is_alive for p in pipes)
+    conn.close()
+    bed.sim.run()
+    assert not any(p.is_alive for p in pipes)
+    ref = weakref.ref(conn)
+    del conn, pipes
+    gc.collect()
+    assert ref() is None
 
 
 def test_non_endpoint_cannot_send(testbed):
