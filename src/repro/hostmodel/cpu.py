@@ -13,35 +13,35 @@ delay**: with 2 VMs on a quad-core host every vCPU and vhost thread finds a
 core immediately; with 4 VMs (2 running lookbusy) dispatch queueing delays
 every boundary crossing of the vanilla HDFS read path (Figs 3 and 9).
 
-Two scheduler implementations coexist behind the ``REPRO_LEGACY_SLICES``
-toggle (mirroring ``REPRO_LEGACY_BUFFERS`` in the data plane):
+Two scheduler implementations coexist, and the simulator picks between
+them with one switch, sanitize mode (``Simulator(sanitize=True)``, or
+``REPRO_SANITIZE=1`` read when the simulator is built):
 
 * the **sliced reference** (:meth:`CpuScheduler._execute_sliced`) wakes the
-  simulator at every time-slice boundary, exactly as the pre-PR5 code did;
-* the **coalesced fast path** (:meth:`CpuScheduler._execute_fast`) arms one
-  whole-burst timer while no thread waits for a core and *demotes* it back
-  to slice granularity the moment a contender arrives, replaying the
-  reference's float arithmetic (same left-fold order) so clocks, charges
-  and RNG draws stay bit-for-bit identical.  Contended rounds run on this
-  path too, demoted to one timer per slice.
-
-Sanitize mode (``Simulator(sanitize=True)``) always runs the reference
-implementation: its per-slice event ceremony is what the sanitizer's
-bookkeeping instruments.
+  simulator at every time-slice boundary.  Sanitize mode always runs it:
+  its per-slice event ceremony is what the sanitizer's bookkeeping
+  instruments, and it is the semantic reference the equivalence tests
+  compare against;
+* the **coalesced fast path** (:meth:`CpuScheduler._execute_fast`) runs in
+  every other simulator.  It arms one whole-burst timer while no thread
+  waits for a core and *demotes* it back to slice granularity the moment
+  a contender arrives, replaying the reference's float arithmetic (same
+  left-fold order) so clocks, charges and RNG draws stay bit-for-bit
+  identical.  Contended rounds run on this path too, demoted to one timer
+  per slice.
 
 Known tie caveat: when an *unrelated* event chain lands on the exact float
 instant of a slice boundary with a heap sequence number in the narrow
 window the coalesced path cannot observe (created after the slice timer it
 replaces would have been created), the two implementations may order that
-instant differently.  The regression pins, the bench determinism gate and
-the equivalence property suite all run both implementations to keep this
-theoretical corner empirically empty.
+instant differently.  The regression pins and the fast-vs-sanitize
+equivalence tests (the property suite and whole registry experiments)
+keep this theoretical corner empirically empty.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 from collections import deque
 from typing import Deque, Optional
@@ -50,35 +50,6 @@ from repro.metrics.accounting import CpuAccounting, OTHERS
 from repro.hostmodel.costs import CostModel
 from repro.sim import Event, Lock, SimulationError, Simulator
 from repro.sim.events import AbsoluteTimeout
-
-_legacy_slices = os.environ.get("REPRO_LEGACY_SLICES", "") not in ("", "0")
-
-
-def use_legacy_slices(enabled: bool) -> None:
-    """Route CPU bursts through the pre-PR5 slice-loop reference scheduler."""
-    global _legacy_slices
-    _legacy_slices = bool(enabled)
-
-
-def legacy_slices_enabled() -> bool:
-    """True when the slice-loop reference scheduler is selected."""
-    return _legacy_slices
-
-
-class legacy_slices:
-    """Context manager: temporarily select the slice-loop reference."""
-
-    def __init__(self, enabled: bool = True):
-        self._enabled = enabled
-        self._previous = None
-
-    def __enter__(self) -> "legacy_slices":
-        self._previous = _legacy_slices
-        use_legacy_slices(self._enabled)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        use_legacy_slices(self._previous)
 
 
 def epoch_stats() -> dict:
@@ -117,7 +88,7 @@ class Thread:
         Use as ``yield from thread.run(...)`` inside a simulation process.
         """
         scheduler = self.scheduler
-        if _legacy_slices or scheduler.sim.sanitizer is not None:
+        if scheduler.sim.sanitizer is not None:
             return scheduler._execute_sliced(self, cycles, category)
         return scheduler._execute_fast(self, cycles, category)
 
@@ -495,9 +466,9 @@ class CpuScheduler:
     def _execute_sliced(self, thread: Thread, cycles: float, category: str):
         """The slice-loop reference: one timer per time slice.
 
-        This is the pre-PR5 scheduler, kept verbatim as the semantic
-        reference for the coalesced fast path (``REPRO_LEGACY_SLICES=1``
-        selects it; sanitize mode always uses it).
+        The semantic reference for the coalesced fast path.  Sanitize mode
+        is the only way to select it: every burst of a sanitized simulator
+        runs here, and no other burst does.
         """
         if cycles < 0:
             raise SimulationError(f"negative cycle count {cycles}")

@@ -30,7 +30,6 @@ from repro.metrics.sinks import (
     sink_digest,
 )
 from repro.metrics.stats import SummaryStats, percentile
-from repro.metrics.timeline import IntervalRecorder, TimeSeries
 from repro.metrics.report import Table, format_figure_series
 from repro.metrics.tracing import TraceEvent, Tracer
 
@@ -38,13 +37,11 @@ __all__ = [
     "CpuAccounting",
     "EmptyMetricError",
     "FaultCounters",
-    "IntervalRecorder",
     "LogHistogram",
     "MetricSink",
     "Reservoir",
     "SummaryStats",
     "Table",
-    "TimeSeries",
     "TraceEvent",
     "Tracer",
     "UtilizationBreakdown",

@@ -22,50 +22,18 @@ single reusable buffer (the incremental checksum).  The *simulated* copy
 costs are untouched — they are the paper's subject; this is purely about
 the wall-clock of the simulator process.
 
-``use_legacy_buffers(True)`` (or ``REPRO_LEGACY_BUFFERS=1``) routes
-``read``/``checksum`` through the original ``bytes``-slicing
-implementations; the property and equivalence tests use the toggle to
-prove the two planes are byte-identical.
+Each operation has one implementation.  The tests check ``read``,
+``checksum`` and ``same_bytes`` against an oracle that rebuilds every
+source's bytes from its definition (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Union
 
 #: Streaming granularity for checksums and fallback readinto paths.
 _CHUNK = 1 << 20
-
-_legacy_buffers = os.environ.get("REPRO_LEGACY_BUFFERS", "") not in ("", "0")
-
-
-def use_legacy_buffers(enabled: bool) -> None:
-    """Route read/checksum through the pre-PR3 bytes-slicing code paths."""
-    global _legacy_buffers
-    _legacy_buffers = bool(enabled)
-
-
-def legacy_buffers_enabled() -> bool:
-    """True when the legacy (join-and-slice) data plane is selected."""
-    return _legacy_buffers
-
-
-class legacy_buffers:
-    """Context manager: temporarily select the legacy data plane."""
-
-    def __init__(self, enabled: bool = True):
-        self._enabled = enabled
-        self._previous = None
-
-    def __enter__(self) -> "legacy_buffers":
-        self._previous = _legacy_buffers
-        use_legacy_buffers(self._enabled)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        use_legacy_buffers(self._previous)
-
 
 class ByteSource:
     """Abstract offset-addressable byte content."""
@@ -123,26 +91,19 @@ class ByteSource:
     def checksum(self, chunk: int = _CHUNK) -> str:
         """SHA-256 of the whole content (streamed; safe for lazy sources).
 
-        One rule on the fast plane: a source that resolves to a whole
-        store returns that store's memoized digest (the stored block
-        checksum HDFS verifies against instead of re-hashing); any other
-        source streams through one reusable buffer, and memoizes the
-        result unless its bytes can change.
+        One rule: a source that resolves to a whole store returns that
+        store's memoized digest (the stored block checksum HDFS verifies
+        against instead of re-hashing); any other source streams through
+        one reusable buffer, and memoizes the result unless its bytes can
+        change.
         """
-        digest = hashlib.sha256()
-        if _legacy_buffers:
-            offset = 0
-            while offset < self.size:
-                piece = self.read(offset, min(chunk, self.size - offset))
-                digest.update(piece)
-                offset += len(piece)
-            return digest.hexdigest()
         if self._checksum_hex is not None:
             return self._checksum_hex
         store, start = self._view_key()
         if store is not self and start == 0 and store.size == self.size \
                 and isinstance(store, ByteSource):
             return store.checksum(chunk)
+        digest = hashlib.sha256()
         buf = bytearray(min(chunk, max(1, self.size)))
         view = memoryview(buf)
         offset = 0
@@ -158,19 +119,17 @@ class ByteSource:
     def same_bytes(self, other: "ByteSource") -> bool:
         """True when ``self`` and ``other`` hold the same bytes now.
 
-        The identity rule on the fast plane: two sources that resolve to
-        the same window of one store (compared with ``is``, at call time)
-        are equal without reading or hashing a byte.  Sources of different
-        sizes are unequal; any other pair compares their checksums.  The
-        legacy plane always compares checksums.
+        The identity rule: two sources that resolve to the same window of
+        one store (compared with ``is``, at call time) are equal without
+        reading or hashing a byte.  Sources of different sizes are unequal;
+        any other pair compares their checksums, which a store memoizes.
         """
         if self.size != other.size:
             return False
-        if not _legacy_buffers:
-            store, start = self._view_key()
-            other_store, other_start = other._view_key()
-            if store is other_store and start == other_start:
-                return True
+        store, start = self._view_key()
+        other_store, other_start = other._view_key()
+        if store is other_store and start == other_start:
+            return True
         return self.checksum() == other.checksum()
 
 
@@ -213,23 +172,6 @@ class PatternSource(ByteSource):
         self.seed = seed
         self._prefix = f"pattern:{seed}:".encode()
 
-    def _block(self, index: int) -> bytes:
-        return hashlib.sha256(self._prefix + b"%d" % index).digest()
-
-    def read(self, offset: int, length: int) -> bytes:
-        n = self._clamp(offset, length)
-        if n == 0:
-            return b""
-        if _legacy_buffers:
-            first = offset // self._BLOCK
-            last = (offset + n - 1) // self._BLOCK
-            raw = b"".join(self._block(i) for i in range(first, last + 1))
-            start = offset - first * self._BLOCK
-            return raw[start:start + n]
-        buf = bytearray(n)
-        self.readinto(offset, buf)
-        return bytes(buf)
-
     def readinto(self, offset: int, buf) -> int:
         view = memoryview(buf)
         n = self._clamp(offset, len(view))
@@ -269,8 +211,6 @@ class PatternSource(ByteSource):
 
     def checksum(self, chunk: int = _CHUNK) -> str:
         """Stream digests straight into the checksum (no staging buffer)."""
-        if _legacy_buffers:
-            return super().checksum(chunk)
         if self._checksum_hex is not None:
             return self._checksum_hex
         digest = hashlib.sha256()
@@ -318,30 +258,6 @@ class ConcatSource(ByteSource):
         super().__init__(sum(p.size for p in parts))
         self._parts = parts
         self._live = any(p._live for p in parts)
-
-    def read(self, offset: int, length: int) -> bytes:
-        n = self._clamp(offset, length)
-        if n == 0:
-            return b""
-        if _legacy_buffers:
-            out = []
-            pos = 0
-            remaining = n
-            cursor = offset
-            for part in self._parts:
-                if remaining == 0:
-                    break
-                if cursor < pos + part.size:
-                    inner = cursor - pos
-                    take = min(remaining, part.size - inner)
-                    out.append(part.read(inner, take))
-                    cursor += take
-                    remaining -= take
-                pos += part.size
-            return b"".join(out)
-        buf = bytearray(n)
-        self.readinto(offset, buf)
-        return bytes(buf)
 
     def readinto(self, offset: int, buf) -> int:
         view = memoryview(buf)

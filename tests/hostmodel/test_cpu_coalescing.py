@@ -6,7 +6,8 @@ individual mechanisms — whole-burst timers, contender demotion, the
 accounting settle hook, frequency-change re-folding, mutex/core ceremony
 elision, and the sanitize-mode routing back to the reference loop.  The
 contended-round cases at the end oversubscribe the cores for whole runs
-and require exact equality with the ``legacy_slices()`` reference.
+and require exact equality with the reference, which each builds with
+``sanitize=True`` (the one switch that selects it) and checks is armed.
 """
 
 import pytest
@@ -14,8 +15,7 @@ import pytest
 from repro.cluster import VirtualHadoopCluster, rack_cluster
 from repro.cluster.topology import VmSpec
 from repro.hostmodel.costs import CostModel
-from repro.hostmodel.cpu import (CpuScheduler, epoch_stats, legacy_slices,
-                                 reset_epoch_stats)
+from repro.hostmodel.cpu import CpuScheduler, epoch_stats, reset_epoch_stats
 from repro.metrics.accounting import CpuAccounting, OTHERS
 from repro.sim import AllOf, Interrupt, Simulator
 from repro.storage.content import PatternSource
@@ -33,33 +33,17 @@ def make_sched(cores=1, freq=1e9, costs=SHORT_SLICES, sanitize=False):
 
 
 def test_uncontended_burst_runs_as_one_timer():
-    # Pin the toggle: this test counts fast-path events and must hold even
-    # when the environment forces REPRO_LEGACY_SLICES=1 globally.
-    with legacy_slices(False):
-        sim, sched, acct = make_sched(freq=1e9)
-        thread = sched.thread("t")
-        # 1M cycles @ 1GHz with 100us slices = 10 slices; coalesced, the
-        # whole burst is at most a handful of kernel events instead of ~10.
-        def proc():
-            yield from thread.run(1_000_000, "work")
+    sim, sched, acct = make_sched(freq=1e9)
+    thread = sched.thread("t")
+    # 1M cycles @ 1GHz with 100us slices = 10 slices; coalesced, the
+    # whole burst is at most a handful of kernel events instead of ~10.
+    def proc():
+        yield from thread.run(1_000_000, "work")
 
-        sim.run_until_complete(sim.process(proc()))
-        assert sim.now == pytest.approx(1e-3)
-        assert acct.by_category()["work"] == pytest.approx(1e-3)
-        assert sim.events_processed < 8
-
-
-def test_legacy_toggle_runs_every_slice():
-    with legacy_slices():
-        sim, sched, acct = make_sched(freq=1e9)
-        thread = sched.thread("t")
-
-        def proc():
-            yield from thread.run(1_000_000, "work")
-
-        sim.run_until_complete(sim.process(proc()))
-        assert sim.now == pytest.approx(1e-3)
-        assert sim.events_processed >= 10  # one wake per 100us slice
+    sim.run_until_complete(sim.process(proc()))
+    assert sim.now == pytest.approx(1e-3)
+    assert acct.by_category()["work"] == pytest.approx(1e-3)
+    assert sim.events_processed < 8
 
 
 def test_sanitize_mode_routes_to_reference_loop():
@@ -197,21 +181,21 @@ def test_mutex_released_after_elided_ceremony():
 
 
 def test_fast_and_legacy_agree_on_contended_schedule():
-    def run(use_legacy):
-        with legacy_slices(use_legacy):
-            sim, sched, acct = make_sched(cores=2, freq=1e9)
-            finish = []
+    def run(reference):
+        sim, sched, acct = make_sched(cores=2, freq=1e9, sanitize=reference)
+        assert (sim.sanitizer is not None) == reference
+        finish = []
 
-            def worker(name, delay, cycles):
-                thread = sched.thread(name)
-                yield sim.timeout(delay)
-                yield from thread.run(cycles, "work")
-                finish.append((name, sim.now))
+        def worker(name, delay, cycles):
+            thread = sched.thread(name)
+            yield sim.timeout(delay)
+            yield from thread.run(cycles, "work")
+            finish.append((name, sim.now))
 
-            for i in range(4):
-                sim.process(worker(f"t{i}", i * 1e-4, 350_000 + i * 7))
-            sim.run()
-            return sim.now, sorted(finish), sorted(acct.snapshot().items())
+        for i in range(4):
+            sim.process(worker(f"t{i}", i * 1e-4, 350_000 + i * 7))
+        sim.run()
+        return sim.now, sorted(finish), sorted(acct.snapshot().items())
 
     assert run(False) == run(True)
 
@@ -225,45 +209,45 @@ COSTS = CostModel().with_overrides(wakeup_stacking_delay_seconds=0.0)
 def run_batch(fast, n=8, cycles=48e6, cores=4, probe_at=None,
               freq_dance=None, interrupt_at=None):
     """n staggered CPU hogs on ``cores`` cores; returns full observables."""
-    with legacy_slices(not fast):
-        sim = Simulator()
-        acct = CpuAccounting()
-        sched = CpuScheduler(sim, cores, 3.2e9, acct, COSTS)
-        finish, probes, caught = [], [], []
-        victims = []
+    sim = Simulator(sanitize=not fast)
+    assert (sim.sanitizer is None) == fast
+    acct = CpuAccounting()
+    sched = CpuScheduler(sim, cores, 3.2e9, acct, COSTS)
+    finish, probes, caught = [], [], []
+    victims = []
 
-        def worker(i):
-            thread = sched.thread(f"t{i}")
-            yield sim.timeout(i * 1e-5)
-            try:
-                yield from thread.run(cycles + i * 1000, "work")
-            except Interrupt:
-                caught.append((f"t{i}", sim.now))
-                return
-            finish.append((f"t{i}", sim.now))
+    def worker(i):
+        thread = sched.thread(f"t{i}")
+        yield sim.timeout(i * 1e-5)
+        try:
+            yield from thread.run(cycles + i * 1000, "work")
+        except Interrupt:
+            caught.append((f"t{i}", sim.now))
+            return
+        finish.append((f"t{i}", sim.now))
 
-        for i in range(n):
-            victims.append(sim.process(worker(i)))
-        if probe_at is not None:
-            def prober():
-                yield sim.timeout(probe_at)
-                probes.append(sorted(acct.snapshot().items()))
-            sim.process(prober())
-        if freq_dance is not None:
-            def dancer():
-                at, freq = freq_dance
-                yield sim.timeout(at)
-                sched.set_frequency(freq)
-            sim.process(dancer())
-        if interrupt_at is not None:
-            def sniper():
-                at, idx = interrupt_at
-                yield sim.timeout(at)
-                victims[idx].interrupt("contended round")
-            sim.process(sniper())
-        sim.run()
-        return (sim.now, sorted(finish), sorted(caught), probes,
-                sorted(acct.snapshot().items()))
+    for i in range(n):
+        victims.append(sim.process(worker(i)))
+    if probe_at is not None:
+        def prober():
+            yield sim.timeout(probe_at)
+            probes.append(sorted(acct.snapshot().items()))
+        sim.process(prober())
+    if freq_dance is not None:
+        def dancer():
+            at, freq = freq_dance
+            yield sim.timeout(at)
+            sched.set_frequency(freq)
+        sim.process(dancer())
+    if interrupt_at is not None:
+        def sniper():
+            at, idx = interrupt_at
+            yield sim.timeout(at)
+            victims[idx].interrupt("contended round")
+        sim.process(sniper())
+    sim.run()
+    return (sim.now, sorted(finish), sorted(caught), probes,
+            sorted(acct.snapshot().items()))
 
 
 def test_contended_batch_fast_equals_reference():
@@ -297,29 +281,29 @@ def test_periodic_hogs_with_probes_match_reference():
     # lookbusy-style duty cycles: run/sleep loops that repeatedly form and
     # drain the contended round, observed by a mid-flight prober.
     def run(fast):
-        with legacy_slices(not fast):
-            sim = Simulator()
-            acct = CpuAccounting()
-            sched = CpuScheduler(sim, 2, 3.2e9, acct, COSTS)
-            probes = []
+        sim = Simulator(sanitize=not fast)
+        assert (sim.sanitizer is None) == fast
+        acct = CpuAccounting()
+        sched = CpuScheduler(sim, 2, 3.2e9, acct, COSTS)
+        probes = []
 
-            def hog(i):
-                thread = sched.thread(f"hog{i}")
-                for _ in range(12):
-                    yield from thread.run(27.2e6 + i * 640, "spin")
-                    yield sim.timeout(0.0015)
+        def hog(i):
+            thread = sched.thread(f"hog{i}")
+            for _ in range(12):
+                yield from thread.run(27.2e6 + i * 640, "spin")
+                yield sim.timeout(0.0015)
 
-            for i in range(4):
-                sim.process(hog(i))
+        for i in range(4):
+            sim.process(hog(i))
 
-            def prober():
-                while sim.now < 0.05:
-                    yield sim.timeout(0.0031)
-                    probes.append(sorted(acct.snapshot().items()))
+        def prober():
+            while sim.now < 0.05:
+                yield sim.timeout(0.0031)
+                probes.append(sorted(acct.snapshot().items()))
 
-            sim.process(prober())
-            sim.run()
-            return sim.now, probes, sorted(acct.snapshot().items())
+        sim.process(prober())
+        sim.run()
+        return sim.now, probes, sorted(acct.snapshot().items())
 
     assert run(True) == run(False)
 
@@ -328,44 +312,47 @@ def _contended_rack_point(fast, horizon=0.5, hogs_per_host=6):
     """Checksum-verified reads on a rack whose hosts are oversubscribed by
     lookbusy VMs, then run to a fixed horizon: the final clock, the
     verdicts, every host's accounting and its core waiters at the end."""
-    with legacy_slices(not fast):
-        topology = rack_cluster(1, 2, clients=2)
-        for rack in topology.racks:
-            for host in rack.hosts:
-                for j in range(hogs_per_host):
-                    host.add(VmSpec(f"{host.name}-bg{j + 1}", "background"))
+    topology = rack_cluster(1, 2, clients=2)
+    for rack in topology.racks:
+        for host in rack.hosts:
+            for j in range(hogs_per_host):
+                host.add(VmSpec(f"{host.name}-bg{j + 1}", "background"))
+    with pytest.MonkeyPatch.context() as patch:
+        # The cluster builds its own simulator, which reads the switch.
+        patch.setenv("REPRO_SANITIZE", "0" if fast else "1")
         cluster = VirtualHadoopCluster(block_size=1 << 20, replication=2,
                                        vread=True, topology=topology)
-        sim = cluster.sim
-        payloads = [PatternSource(1 << 20, seed=80 + i)
-                    for i in range(len(cluster.client_vms))]
+    sim = cluster.sim
+    assert (sim.sanitizer is None) == fast
+    payloads = [PatternSource(1 << 20, seed=80 + i)
+                for i in range(len(cluster.client_vms))]
 
-        def load():
-            for i, payload in enumerate(payloads):
-                yield from cluster.write_dataset(f"/racks/f{i}", payload)
+    def load():
+        for i, payload in enumerate(payloads):
+            yield from cluster.write_dataset(f"/racks/f{i}", payload)
 
-        cluster.run(sim.process(load()))
-        # No settle(): the lookbusy hogs never quiesce.
-        clients = [cluster.clients.get(vm=vm) for vm in cluster.client_vms]
-        verdicts = []
+    cluster.run(sim.process(load()))
+    # No settle(): the lookbusy hogs never quiesce.
+    clients = [cluster.clients.get(vm=vm) for vm in cluster.client_vms]
+    verdicts = []
 
-        def reader(client, index):
-            source = yield from client.read_file(f"/racks/f{index}", 1 << 20)
-            verdicts.append(source.checksum() == payloads[index].checksum())
+    def reader(client, index):
+        source = yield from client.read_file(f"/racks/f{index}", 1 << 20)
+        verdicts.append(source.checksum() == payloads[index].checksum())
 
-        def job():
-            yield AllOf(sim, [sim.process(reader(client, i))
-                              for i, client in enumerate(clients)])
+    def job():
+        yield AllOf(sim, [sim.process(reader(client, i))
+                          for i, client in enumerate(clients)])
 
-        cluster.run(sim.process(job()))
-        sim.run(until=sim.now + horizon)
-        waiting = {host.name: host.scheduler.runnable_waiting
-                   for host in cluster.hosts}
-        for hog in cluster.lookbusy:
-            hog.stop()
-        return (sim.now, verdicts, waiting,
-                {host.name: sorted(host.accounting.snapshot().items())
-                 for host in cluster.hosts})
+    cluster.run(sim.process(job()))
+    sim.run(until=sim.now + horizon)
+    waiting = {host.name: host.scheduler.runnable_waiting
+               for host in cluster.hosts}
+    for hog in cluster.lookbusy:
+        hog.stop()
+    return (sim.now, verdicts, waiting,
+            {host.name: sorted(host.accounting.snapshot().items())
+             for host in cluster.hosts})
 
 
 def test_contended_rack_point_fast_equals_reference():

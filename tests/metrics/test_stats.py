@@ -1,10 +1,9 @@
-"""Tests for SummaryStats / percentile / timelines / report rendering."""
+"""Tests for SummaryStats / percentile / report rendering."""
 
 import pytest
 
 from repro.metrics.report import Table, format_figure_series, improvement_pct, reduction_pct
 from repro.metrics.stats import SummaryStats, percentile
-from repro.metrics.timeline import IntervalRecorder, TimeSeries
 
 
 # ----------------------------------------------------------------- percentile
@@ -61,49 +60,6 @@ def test_summary_stats_empty_raises():
     stats = SummaryStats()
     with pytest.raises(ValueError):
         _ = stats.mean
-
-
-# ----------------------------------------------------------------- TimeSeries
-def test_timeseries_rate_window():
-    series = TimeSeries()
-    series.record(0.0, 100.0)
-    series.record(1.0, 100.0)
-    series.record(2.0, 100.0)
-    assert series.rate(0.0, 2.0) == pytest.approx(100.0)  # 200 over 2s
-
-
-def test_timeseries_requires_time_order():
-    series = TimeSeries()
-    series.record(5.0, 1.0)
-    with pytest.raises(ValueError):
-        series.record(4.0, 1.0)
-
-
-def test_timeseries_window_bounds_are_half_open():
-    series = TimeSeries()
-    series.record(0.0, 1.0)
-    series.record(2.0, 1.0)
-    assert series.values_in(0.0, 2.0) == [1.0]
-
-
-# ----------------------------------------------------------- IntervalRecorder
-def test_interval_recorder_durations():
-    rec = IntervalRecorder()
-    rec.begin("req-1", 1.0)
-    assert rec.end("req-1", 3.5) == pytest.approx(2.5)
-    assert rec.durations == [2.5]
-    assert rec.open_count == 0
-
-
-def test_interval_recorder_errors():
-    rec = IntervalRecorder()
-    rec.begin("a", 0.0)
-    with pytest.raises(ValueError):
-        rec.begin("a", 1.0)
-    with pytest.raises(ValueError):
-        rec.end("missing", 1.0)
-    with pytest.raises(ValueError):
-        rec.end("a", -1.0)
 
 
 # --------------------------------------------------------------------- report

@@ -1,10 +1,10 @@
 """Coalesced-burst scheduling must be indistinguishable from the reference.
 
 The fast path (whole-burst timers, lazy accounting folds, ceremony elision)
-and the slice-loop reference behind ``REPRO_LEGACY_SLICES`` are run on the
-same randomized scenario — staggered bursts over shared cores, mid-burst
-interrupts, mid-run accounting probes, and a mid-run frequency change —
-and must agree *exactly* (float-equal, not approximately) on:
+and the slice-loop reference are run on the same randomized scenario —
+staggered bursts over shared cores, mid-burst interrupts, mid-run
+accounting probes, and a mid-run frequency change — and must agree
+*exactly* (float-equal, not approximately) on:
 
 * final simulated time and per-burst completion/interruption times,
 * the full accounting snapshot and the category roll-up,
@@ -17,15 +17,17 @@ land float-exactly on a slice-fold boundary: at an exact tie the two
 implementations may order an unrelated reader against the boundary charge
 differently (see the tie caveat in ``hostmodel/cpu.py``); real experiments
 measure over windows, not at adversarially exact instants.
+
+Sanitize mode is the one switch that selects the reference: the reference
+run builds ``Simulator(sanitize=True)`` and the fast run
+``Simulator(sanitize=False)``, whatever ``REPRO_SANITIZE`` says.
 """
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hostmodel.costs import CostModel
-from repro.hostmodel.cpu import (CpuScheduler, legacy_slices,
-                                 legacy_slices_enabled, use_legacy_slices)
+from repro.hostmodel.cpu import CpuScheduler
 from repro.metrics.accounting import CpuAccounting
 from repro.metrics.tracing import Tracer
 from repro.sim import Interrupt, Simulator
@@ -45,69 +47,66 @@ bursts_strategy = st.lists(
     min_size=1, max_size=6)
 
 
-def _run_scenario(legacy, cores, n_threads, bursts, probe_times_us,
+def _run_scenario(sanitize, cores, n_threads, bursts, probe_times_us,
                   interrupts, freq_change_us):
-    use_legacy_slices(legacy)
-    try:
-        sim = Simulator()
-        acct = CpuAccounting()
-        sched = CpuScheduler(sim, cores, 2.0e9, acct, COSTS, name="equiv")
-        tracer = Tracer()
-        sched.tracer = tracer
-        threads = [sched.thread(f"t{i}") for i in range(n_threads)]
-        completions = []
-        probes = []
-        procs = []
+    sim = Simulator(sanitize=sanitize)
+    assert (sim.sanitizer is not None) == sanitize
+    acct = CpuAccounting()
+    sched = CpuScheduler(sim, cores, 2.0e9, acct, COSTS, name="equiv")
+    tracer = Tracer()
+    sched.tracer = tracer
+    threads = [sched.thread(f"t{i}") for i in range(n_threads)]
+    completions = []
+    probes = []
+    procs = []
 
-        for index, (t_index, delay_us, cycles, category) in enumerate(bursts):
-            def worker(index=index, t_index=t_index, delay_us=delay_us,
-                       cycles=cycles, category=category):
-                try:
-                    yield sim.timeout(delay_us * 1e-6)
-                    yield from threads[t_index % n_threads].run(
-                        cycles, category)
-                    completions.append((index, "done", sim.now))
-                except Interrupt:
-                    completions.append((index, "interrupted", sim.now))
-            procs.append(sim.process(worker()))
+    for index, (t_index, delay_us, cycles, category) in enumerate(bursts):
+        def worker(index=index, t_index=t_index, delay_us=delay_us,
+                   cycles=cycles, category=category):
+            try:
+                yield sim.timeout(delay_us * 1e-6)
+                yield from threads[t_index % n_threads].run(
+                    cycles, category)
+                completions.append((index, "done", sim.now))
+            except Interrupt:
+                completions.append((index, "interrupted", sim.now))
+        procs.append(sim.process(worker()))
 
-        for at_us in probe_times_us:
-            def probe(at_us=at_us):
-                yield sim.timeout(at_us * 1e-6 + SKEW)
-                probes.append((sim.now, acct.total(),
-                               tuple(sorted(acct.snapshot().items())),
-                               tuple(sorted(acct.by_category().items()))))
-            sim.process(probe())
+    for at_us in probe_times_us:
+        def probe(at_us=at_us):
+            yield sim.timeout(at_us * 1e-6 + SKEW)
+            probes.append((sim.now, acct.total(),
+                           tuple(sorted(acct.snapshot().items())),
+                           tuple(sorted(acct.by_category().items()))))
+        sim.process(probe())
 
-        # Dedupe same-victim same-instant interrupts: delivering a second
-        # interrupt to a process that finished handling the first at the
-        # same instant is kernel misuse (it crashes both implementations).
-        for victim, at_us in {(victim % len(procs), at_us)
-                              for victim, at_us in interrupts}:
-            def sniper(victim=victim, at_us=at_us):
-                yield sim.timeout(at_us * 1e-6 + SKEW)
-                target = procs[victim]
-                if target.is_alive:
-                    target.interrupt("equivalence-test")
-            sim.process(sniper())
+    # Dedupe same-victim same-instant interrupts: delivering a second
+    # interrupt to a process that finished handling the first at the
+    # same instant is kernel misuse (it crashes both implementations).
+    for victim, at_us in {(victim % len(procs), at_us)
+                          for victim, at_us in interrupts}:
+        def sniper(victim=victim, at_us=at_us):
+            yield sim.timeout(at_us * 1e-6 + SKEW)
+            target = procs[victim]
+            if target.is_alive:
+                target.interrupt("equivalence-test")
+        sim.process(sniper())
 
-        if freq_change_us is not None:
-            def governor():
-                yield sim.timeout(freq_change_us * 1e-6 + SKEW)
-                sched.set_frequency(1.6e9)
-            sim.process(governor())
+    if freq_change_us is not None:
+        def governor():
+            yield sim.timeout(freq_change_us * 1e-6 + SKEW)
+            sched.set_frequency(1.6e9)
+        sim.process(governor())
 
-        sim.run()
-        trace = tuple((event.time, event.category, event.name, event.fields)
-                      for event in tracer.events())
-        return (sim.now,
-                tuple(sorted(acct.snapshot().items())),
-                tuple(sorted(completions)),
-                tuple(probes),
-                trace,
-                sched.stacked_wakeups)
-    finally:
-        use_legacy_slices(False)
+    sim.run()
+    trace = tuple((event.time, event.category, event.name, event.fields)
+                  for event in tracer.events())
+    return (sim.now,
+            tuple(sorted(acct.snapshot().items())),
+            tuple(sorted(completions)),
+            tuple(probes),
+            trace,
+            sched.stacked_wakeups)
 
 
 @given(cores=st.integers(min_value=1, max_value=2),
@@ -137,30 +136,3 @@ def test_fast_path_equivalent_to_slice_loop(cores, n_threads, bursts,
     fast = _run_scenario(False, cores, n_threads, bursts,
                          probe_times_us, interrupts, freq_change_us)
     assert fast == reference
-
-
-def test_toggle_roundtrip():
-    assert not legacy_slices_enabled()
-    with legacy_slices():
-        assert legacy_slices_enabled()
-        with legacy_slices(False):
-            assert not legacy_slices_enabled()
-        assert legacy_slices_enabled()
-    assert not legacy_slices_enabled()
-
-
-def test_env_spelling_matches_buffers_toggle():
-    """The toggle mirrors REPRO_LEGACY_BUFFERS: '' and '0' mean off."""
-    import os
-    import subprocess
-    import sys
-    code = ("import sys; sys.path.insert(0, 'src'); "
-            "from repro.hostmodel.cpu import legacy_slices_enabled; "
-            "print(legacy_slices_enabled())")
-    for value, expected in (("", "False"), ("0", "False"), ("1", "True")):
-        env = dict(os.environ, REPRO_LEGACY_SLICES=value)
-        out = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, env=env,
-                             cwd=os.path.dirname(os.path.dirname(
-                                 os.path.dirname(os.path.abspath(__file__)))))
-        assert out.stdout.strip() == expected, out.stderr

@@ -1,12 +1,14 @@
-"""Property tests: the zero-copy buffer plane equals the legacy bytes plane.
+"""Property tests: the zero-copy buffer plane returns the defined bytes.
 
-PR 3 replaced the hot-path bytes slicing/joining in the content sources and
-the filesystem with ``readinto`` into reusable buffers, plus memoized
-checksums.  ``REPRO_LEGACY_BUFFERS`` (here via the ``legacy_buffers``
-context manager) keeps the original implementation alive as a reference:
-these tests drive both planes with randomized source shapes and random
+The content sources and the filesystem read through ``readinto`` into
+reusable buffers, memoize checksums, reuse a store's digest for any view
+that resolves to it, and decide ``same_bytes`` by view identity when they
+can.  These tests drive them with randomized source shapes and random
 offset/length windows — including page- and pattern-block-aligned
-boundaries — and require byte-for-byte and digest-for-digest agreement.
+boundaries — and require byte-for-byte and digest-for-digest agreement
+with the join-and-slice definition of each source, which
+``tests.oracles.expected_bytes`` builds without calling the code under
+test.  The ``legacy`` in three test names means that definition.
 """
 
 import hashlib
@@ -20,10 +22,10 @@ from repro.storage.content import (
     PatternSource,
     SliceSource,
     ZeroSource,
-    legacy_buffers,
 )
 from repro.storage.filesystem import Inode, InodeRangeSource
 from repro.storage.pagecache import PAGE_SIZE, PageCache
+from tests.oracles import expected_bytes
 
 # Offsets/lengths are drawn around the implementation's interesting edges:
 # the 32-byte pattern block, the 4 KiB page, and the 1 MiB streaming chunk.
@@ -76,10 +78,8 @@ def source_and_window(draw):
 @settings(max_examples=60, deadline=None)
 def test_fast_read_equals_legacy_read(case):
     source, offset, length = case
-    fast = source.read(offset, length)
-    with legacy_buffers():
-        legacy = source.read(offset, length)
-    assert fast == legacy
+    assert source.read(offset, length) == \
+        expected_bytes(source, offset, length)
 
 
 @given(case=source_and_window(),
@@ -87,13 +87,9 @@ def test_fast_read_equals_legacy_read(case):
 @settings(max_examples=60, deadline=None)
 def test_fast_checksum_equals_legacy_checksum(case, chunk):
     source, _, _ = case
-    # Fast plane memoizes; compute it first so a stale memo would be caught
-    # by the legacy reference, which always streams from scratch.
-    fast = source.checksum(chunk)
-    with legacy_buffers():
-        legacy = source.checksum(chunk)
-    assert fast == legacy
-    assert source.checksum(chunk) == legacy  # memo stays right
+    expected = hashlib.sha256(expected_bytes(source)).hexdigest()
+    assert source.checksum(chunk) == expected
+    assert source.checksum(chunk) == expected  # memo stays right
 
 
 @given(case=source_and_window())
@@ -130,16 +126,11 @@ def inode_and_window(draw):
 @settings(max_examples=40, deadline=None)
 def test_inode_read_across_parts_equals_legacy(case):
     inode, offset, length = case
-    fast = inode.read(offset, length)
-    with legacy_buffers():
-        legacy = inode.read(offset, length)
-    assert fast == legacy
+    assert inode.read(offset, length) == expected_bytes(inode, offset, length)
 
     view = InodeRangeSource(inode)
-    fast_sum = view.checksum()
-    with legacy_buffers():
-        legacy_sum = view.checksum()
-    assert fast_sum == legacy_sum
+    assert view.checksum() == \
+        hashlib.sha256(expected_bytes(inode)).hexdigest()
 
 
 @given(case=inode_and_window())
@@ -204,27 +195,23 @@ def _pieces(base, offset, n, a):
 
 def _assert_digests_match_bytes(views, stores, chunk):
     contents = {}
+    for source in views + stores:
+        contents[id(source)] = expected_bytes(source)
+        assert source.read(0, source.size) == contents[id(source)]
     for view in views:
-        contents[id(view)] = view.read(0, view.size)
         expected = hashlib.sha256(contents[id(view)]).hexdigest()
         assert view.checksum(chunk) == expected
-        with legacy_buffers():
-            assert view.checksum(chunk) == expected
-    for store in stores:
-        contents[id(store)] = store.read(0, store.size)
     for a in views:
         for b in views + stores:
             same = contents[id(a)] == contents[id(b)]
             assert a.same_bytes(b) == same
-            with legacy_buffers():
-                assert a.same_bytes(b) == same
 
 
 def _play(steps, chunk):
     """Build the layout step by step; after every step each view's digest
     must equal the hash of its current bytes, and ``same_bytes`` must agree
     with comparing the bytes for every view against every view and every
-    writer store, on both data planes."""
+    writer store; the bytes are the oracle's."""
     # Store sizes divide by 2, 3 and 4, so repeated pieces can add up to
     # a whole store.
     pattern = PatternSource(3 * PAGE_SIZE, seed=11)
@@ -324,6 +311,11 @@ def _play(steps, chunk):
                 ("view", "range", 0, 0, 0),
                 ("rewrite", 0, 2, 0, 0)],
          chunk=1 << 20)
+# A file that holds a range over its own earlier bytes.
+@example(steps=[("append", "store", 0, 0, 0, 0),
+                ("view", "range", 0, 0, 0),
+                ("append", "file", 0, 0, 0, 0)],
+         chunk=7)
 def test_checksum_equals_hash_of_bytes_for_any_layout(steps, chunk):
     _play(steps, chunk)
 

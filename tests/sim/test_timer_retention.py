@@ -6,7 +6,8 @@ reach the head or a compaction.  Cancelling must release the timer's
 callbacks at once, or each pending entry keeps the finished race alive:
 the ``AnyOf``, the sub-process, its frames and its result.  The CPU
 scheduler's demotion cancels a whole-burst timer too, and must move the
-listeners to the replacement before it does.
+listeners to the replacement before it does; that run is checked against
+the sliced reference, which ``Simulator(sanitize=True)`` selects.
 """
 
 import gc
@@ -15,7 +16,7 @@ import weakref
 
 from repro.faults.retry import call_with_deadline
 from repro.hostmodel.costs import CostModel
-from repro.hostmodel.cpu import CpuScheduler, legacy_slices
+from repro.hostmodel.cpu import CpuScheduler
 from repro.metrics.accounting import CpuAccounting
 from repro.sim import Simulator
 
@@ -86,14 +87,16 @@ def test_cancelling_a_fired_timeout_is_a_no_op():
     assert sim._ncancelled == 0
 
 
-def _demoted_burst_run():
+def _demoted_burst_run(sanitize):
     """One core: a 10-slice burst on thread ``a``, contended mid-flight by
     a burst on thread ``b``; returns finish times, accounting and the
-    whole-burst timer the contender found armed."""
+    whole-burst timer the contender found armed.  ``sanitize=True`` runs
+    the sliced reference, which arms no whole-burst timer."""
     costs = CostModel().with_overrides(context_switch_cycles=0.0,
                                        wakeup_stacking_delay_seconds=0.0,
                                        time_slice_seconds=1e-4)
-    sim = Simulator(sanitize=False)
+    sim = Simulator(sanitize=sanitize)
+    assert (sim.sanitizer is not None) == sanitize
     acct = CpuAccounting()
     sched = CpuScheduler(sim, 1, 1e9, acct, costs)
     a, b = sched.thread("a"), sched.thread("b")
@@ -117,10 +120,8 @@ def _demoted_burst_run():
 
 
 def test_demoted_burst_timer_releases_callbacks_and_owner_resumes():
-    with legacy_slices(False):
-        done, snapshot, armed = _demoted_burst_run()
-    with legacy_slices():
-        ref_done, ref_snapshot, _ = _demoted_burst_run()
+    done, snapshot, armed = _demoted_burst_run(sanitize=False)
+    ref_done, ref_snapshot, _ = _demoted_burst_run(sanitize=True)
     # The owning process still resumes, on the reference's clock and with
     # the reference's charges.
     assert set(done) == {"a", "b"}
