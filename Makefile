@@ -1,6 +1,6 @@
 # Convenience targets for the vRead reproduction.
 
-.PHONY: install test lint analyze chaos bench bench-smoke kernel-smoke load-smoke storage-smoke churn-smoke profile bench-tables report paper-report quick-report demo clean
+.PHONY: install test lint analyze chaos bench bench-smoke kernel-smoke reference-check load-smoke storage-smoke churn-smoke profile bench-tables report paper-report quick-report demo clean
 
 install:
 	python setup.py develop
@@ -36,17 +36,38 @@ bench-smoke:
 kernel-smoke:
 	PYTHONPATH=src python -m pytest tests/sim tests/hostmodel tests/experiments/test_reference_equivalence.py -q
 
+# Every registry experiment at quick, once on the fast paths and once
+# under REPRO_SANITIZE=1 (the sliced CPU reference): the canonical JSON
+# of the two runs must be byte-identical.
+REFERENCE_DIR ?= .reference-check
+reference-check:
+	@mkdir -p $(REFERENCE_DIR)
+	@names=$$(PYTHONPATH=src python -c "from repro.experiments import registry; print(' '.join(s.name for s in registry.specs(None)))"); \
+	total=0; same=0; \
+	for exp in $$names; do \
+		total=$$((total + 1)); \
+		PYTHONPATH=src python -m repro run $$exp --quick --json $(REFERENCE_DIR)/$$exp.fast.json > /dev/null || exit 1; \
+		REPRO_SANITIZE=1 PYTHONPATH=src python -m repro run $$exp --quick --json $(REFERENCE_DIR)/$$exp.reference.json > /dev/null || exit 1; \
+		if cmp -s $(REFERENCE_DIR)/$$exp.fast.json $(REFERENCE_DIR)/$$exp.reference.json; then \
+			same=$$((same + 1)); echo "identical  $$exp"; \
+		else \
+			echo "DIFFERENT  $$exp"; \
+		fi; \
+	done; \
+	echo "reference-check: $$same/$$total identical"; \
+	test $$same -eq $$total
+
 # Subsystem smokes: the load, tiered-storage and elastic-membership
 # suites, including their determinism and memory-flatness gates.
 load-smoke:
 	PYTHONPATH=src python -m pytest tests/load tests/metrics/test_sinks.py -q
 
 storage-smoke:
-	PYTHONPATH=src python -m pytest tests/storage tests/cluster/test_storage_tiers.py tests/properties/test_stream_properties.py -q
+	PYTHONPATH=src python -m pytest tests/storage tests/cluster/test_storage_tiers.py -q
 	PYTHONPATH=src python -m pytest tests/properties/test_zero_copy.py -k pagecache -q
 
 churn-smoke:
-	PYTHONPATH=src python -m pytest tests/cluster/test_membership.py tests/load/test_autoscale.py tests/experiments/test_scale_churn.py -q
+	PYTHONPATH=src python -m pytest tests/cluster/test_membership.py tests/experiments/test_scale_churn.py -q
 
 # Usage: make profile [EXP=fig11] [PROFILE_FLAGS="--quick --memory"]
 EXP ?= fig11
@@ -57,17 +78,17 @@ bench-tables:
 	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 report:
-	PYTHONPATH=src python -m repro.experiments.run_all --ablations
+	PYTHONPATH=src python -m repro run all --ablations
 
 paper-report:
-	PYTHONPATH=src python -m repro.experiments.run_all --paper
+	PYTHONPATH=src python -m repro run all --paper
 
 quick-report:
-	PYTHONPATH=src python -m repro.experiments.run_all --quick
+	PYTHONPATH=src python -m repro run all --quick
 
 demo:
 	PYTHONPATH=src python -m repro demo
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true
-	rm -rf .pytest_cache .hypothesis src/repro.egg-info
+	rm -rf .pytest_cache .hypothesis src/repro.egg-info .reference-check

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Union
 from repro.cluster.membership import ClusterController
 from repro.cluster.topology import TopologySpec, paper_fig10
 from repro.storage.device import DeviceProfile, resolve_profile
-from repro.storage.stream import StreamLayer
 from repro.core import VReadManager
 from repro.core.integration import VReadDfsClient
 from repro.faults import FaultInjector, FaultPlan
@@ -257,15 +256,6 @@ class VirtualHadoopCluster:
             for (_, _, vm_spec), vm in zip(datanode_placements,
                                            self.datanode_vms)]
 
-        #: The append-only stream layer shadowing HDFS: every committed
-        #: block maps onto an extent of its file's stream.  Bookkeeping
-        #: only — it creates no simulator events, so golden timelines are
-        #: unaffected.
-        self.stream_layer = StreamLayer(
-            [datanode.datanode_id for datanode in self.datanodes],
-            replication=config.replication,
-            extent_bytes=config.block_size).attach(self.namenode)
-
         self.aux_vms: List[VirtualMachine] = [
             self._place(host_spec, vm_spec)
             for _, host_spec, vm_spec in self.topology.placements("aux")]
@@ -298,8 +288,8 @@ class VirtualHadoopCluster:
 
         #: The one way to get HDFS clients (vread/vanilla/auto).
         self.clients = ClusterClients(self)
-        #: The live membership control plane: add/decommission datanodes,
-        #: elastic client pool, live migration with full bookkeeping.
+        #: The live membership control plane: add/decommission datanodes
+        #: and live migration with full bookkeeping.
         #: Construction is pure bookkeeping (no events, no RNG), so
         #: churn-free clusters behave byte-identically to the static path.
         self.membership = ClusterController(self)
@@ -328,11 +318,6 @@ class VirtualHadoopCluster:
         raise ValueError(
             f"no datanode {datanode_id!r}; cluster has "
             f"{[d.datanode_id for d in self.datanodes]}")
-
-    # ------------------------------------------------------------------ client
-    def remove_client_vm(self, name: str) -> None:
-        """Remove a client VM from the pool (see the membership controller)."""
-        self.membership.remove_client_vm(name)
 
     # ------------------------------------------------------------------- runs
     def run(self, process):

@@ -6,16 +6,13 @@ spec is frozen — this controller owns the cluster's **runtime** view and
 the operations that change it:
 
 * :meth:`ClusterController.add_datanode` — a new datanode VM joins an
-  existing host and registers with the namenode, the stream layer, the
-  replication monitor, and (when deployed) every vRead host service;
+  existing host and registers with the namenode, the replication
+  monitor, and (when deployed) every vRead host service;
 * :meth:`ClusterController.decommission_datanode` — graceful drain
   through the :class:`~repro.hdfs.replication.ReplicationMonitor`
   (``decommission`` -> wait drained -> ``finalize_decommission``), then a
   full detach: the datanode shuts down, the namenode forgets it, vRead
   hash tables drop its entries, and the VM's threads are retired;
-* :meth:`ClusterController.add_client_vm` /
-  :meth:`ClusterController.remove_client_vm` — elastic client pool (what
-  the load layer's autoscaler drives);
 * :meth:`ClusterController.migrate` — live migration wrapping
   :func:`~repro.virt.migration.migrate_vm` with the bookkeeping the paper
   prescribes in Section 6: vRead tables rebound on every host, hash-table
@@ -23,9 +20,9 @@ the operations that change it:
   the rack-local RDMA domain recomputed implicitly (transport decisions
   read live host positions).
 
-Every operation bumps :attr:`ClusterController.version` and notifies
-registered observers, so layers above (replication, experiments, the
-autoscaler) can react to membership events without polling.
+Every operation bumps :attr:`ClusterController.version`, appends to
+:attr:`ClusterController.log` and counts a ``membership.<event>`` fault
+counter, so experiments can report churn without polling.
 
 Determinism contract: **constructing** the controller creates no
 simulator events and draws no randomness — a cluster that never churns
@@ -37,7 +34,7 @@ simulation clock.
 from __future__ import annotations
 
 import difflib
-from typing import Callable, Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.hdfs.datanode import Datanode
 from repro.hdfs.replication import ReplicationMonitor
@@ -64,33 +61,23 @@ class ClusterController:
         #: Datanode ids retired by decommission (for target-resolution
         #: error messages: "dn3 was decommissioned").
         self.decommissioned: List[str] = []
-        #: Client VM names removed from the pool.
-        self.removed_clients: List[str] = []
         #: ``(version, event, detail)`` log of every membership change.
         self.log: List[tuple] = []
-        self._observers: List[Callable[[str, Dict], None]] = []
         #: The controller-owned replication monitor, created (and started)
         #: lazily by the first decommission — or explicitly via
         #: :meth:`ensure_monitor`.
         self.monitor: Optional[ReplicationMonitor] = None
         self._next_datanode = len(cluster.datanodes) + 1
-        self._next_client = len(cluster.client_vms) + 1
-
-    # -------------------------------------------------------------- observers
-    def add_observer(self, callback: Callable[[str, Dict], None]) -> None:
-        """Register ``callback(event, detail)`` for membership changes.
-
-        Events: ``datanode-added``, ``datanode-decommissioned``,
-        ``client-added``, ``client-removed``, ``vm-migrated``.
-        """
-        self._observers.append(callback)
 
     def _bump(self, event: str, **detail) -> None:
+        """Record one membership change.
+
+        Events: ``datanode-added``, ``datanode-decommissioned``,
+        ``vm-migrated``.
+        """
         self.version += 1
         self.log.append((self.version, event, detail))
         self._cluster.fault_counters.count(f"membership.{event}", **detail)
-        for callback in self._observers:
-            callback(event, detail)
 
     # ------------------------------------------------------------ runtime view
     def live_datanode_ids(self) -> List[str]:
@@ -172,9 +159,8 @@ class ClusterController:
 
         Defaults continue the topology's numbering (``datanodeN`` /
         ``dnN``).  The datanode registers with the namenode immediately,
-        joins the stream layer's placement window and the controller's
-        replication monitor (if running), and every vRead host service
-        learns its location.
+        joins the controller's replication monitor (if running), and every
+        vRead host service learns its location.
         """
         cluster = self._cluster
         host = self._resolve_host(host)
@@ -203,7 +189,6 @@ class ClusterController:
                             cluster.network)
         cluster.datanode_vms.append(vm)
         cluster.datanodes.append(datanode)
-        cluster.stream_layer.set_nodes(self.live_datanode_ids())
         if cluster.vread_manager is not None:
             cluster.vread_manager.rebind_datanode(datanode)
             cluster.vread_manager.ensure_coverage()
@@ -262,72 +247,12 @@ class ClusterController:
             cluster.vread_manager.detach_datanode(datanode_id)
         cluster.datanodes.remove(datanode)
         cluster.datanode_vms.remove(vm)
-        cluster.stream_layer.set_nodes(self.live_datanode_ids())
         vm.host.vms.remove(vm)
         for thread in (vm.vcpu, vm.vhost, vm.qemu_io):
             vm.host.scheduler.retire_thread(thread)
         self.decommissioned.append(datanode_id)
         self._bump("datanode-decommissioned", datanode=datanode_id)
         return datanode_id
-
-    # ---------------------------------------------------------------- clients
-    def add_client_vm(self, name: Optional[str] = None,
-                      host=None) -> VirtualMachine:
-        """Add a client VM to the pool (autoscaler scale-up)."""
-        cluster = self._cluster
-        host = (self._resolve_host(host) if host is not None
-                else cluster.hosts[0])
-        if name is None:
-            taken = set(self._all_vm_names())
-            while f"client{self._next_client}" in taken:
-                self._next_client += 1
-            name = f"client{self._next_client}"
-            self._next_client += 1
-        elif name in self._all_vm_names():
-            raise MembershipError(
-                f"VM name {name!r} is already in use; cluster has "
-                f"{self._all_vm_names()}")
-        vm = VirtualMachine(host, name)
-        cluster.client_vms.append(vm)
-        self._bump("client-added", vm=name, host=host.name)
-        return vm
-
-    def remove_client_vm(self, name: Union[str, VirtualMachine]) -> None:
-        """Remove a client VM (name or object) from the pool.
-
-        The primary client VM cannot be removed — it hosts the namenode.
-        Tears down the VM's vRead attachment (channel/daemon/library) and
-        cached vanilla client, retires its threads, and drops it from the
-        host.
-        """
-        cluster = self._cluster
-        if isinstance(name, VirtualMachine):
-            name = name.name
-        vm = None
-        for candidate in cluster.client_vms:
-            if candidate.name == name:
-                vm = candidate
-                break
-        if vm is None:
-            names = self.client_vm_names()
-            gone = (f" ({name!r} was already removed)"
-                    if name in self.removed_clients else "")
-            raise MembershipError(
-                f"no client VM named {name!r}{gone}{_suggest(name, names)}; "
-                f"client VMs: {names}")
-        if vm is cluster.client_vm:
-            raise MembershipError(
-                f"cannot remove {name!r}: the primary client VM hosts the "
-                f"namenode")
-        if cluster.vread_manager is not None:
-            cluster.vread_manager.detach_client(vm)
-        cluster.clients._vanilla.pop(vm.name, None)
-        cluster.client_vms.remove(vm)
-        vm.host.vms.remove(vm)
-        for thread in (vm.vcpu, vm.vhost, vm.qemu_io):
-            vm.host.scheduler.retire_thread(thread)
-        self.removed_clients.append(name)
-        self._bump("client-removed", vm=name)
 
     # -------------------------------------------------------------- migration
     def migrate(self, vm: Union[str, VirtualMachine], host,
@@ -354,7 +279,7 @@ class ClusterController:
             raise MembershipError(
                 f"cannot migrate {vm.name!r}: it has a vRead client "
                 f"attachment (channel + daemon pinned to "
-                f"{vm.host.name!r}); detach it first")
+                f"{vm.host.name!r})")
         kwargs = {}
         if ram_bytes is not None:
             kwargs["ram_bytes"] = ram_bytes

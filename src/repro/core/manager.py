@@ -131,14 +131,6 @@ class VReadManager:
         for service in self._services.values():
             service.unregister_datanode(datanode_id)
 
-    def detach_client(self, vm: VirtualMachine) -> None:
-        """Tear down ``vm``'s channel, daemon and library (VM removed)."""
-        daemon = self._daemons.pop(vm.name, None)
-        if daemon is not None:
-            daemon.crash()
-            daemon.service.host.scheduler.retire_thread(daemon.thread)
-        self._libraries.pop(vm.name, None)
-
     def attach_client(self, vm: VirtualMachine) -> VReadDfsClient:
         """Give ``vm`` a vRead-enabled HDFS client (channel+daemon+library)."""
         if vm.name not in self._libraries:

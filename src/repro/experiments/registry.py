@@ -4,7 +4,7 @@ Every experiment the reproduction can run is registered here with its CLI
 name, the paper figure/table it reproduces, its parameter grid per size
 profile (``quick`` / ``default`` / ``paper``), and a lazily-imported
 builder function.  The CLI (``python -m repro run <name>``), the full
-report (:mod:`repro.experiments.run_all`) and the parallel runner
+report (``python -m repro run all``) and the parallel runner
 (:mod:`repro.experiments.runner`) are all thin clients of this table; it
 is the only entry point (the old per-module ``main()`` shims are gone).
 

@@ -25,7 +25,6 @@ from repro.hdfs.block import Block, BlockId
 from repro.hdfs.client import DfsClient, DfsInputStream, DfsOutputStream
 from repro.hdfs.config import HdfsConfig
 from repro.hdfs.datanode import Datanode
-from repro.hdfs.editlog import EditLog, JournaledNamenode, replay_into
 from repro.hdfs.fsck import FsckReport, fsck
 from repro.hdfs.namenode import Namenode
 from repro.hdfs.replication import ReplicationMonitor
@@ -38,13 +37,10 @@ __all__ = [
     "DfsClient",
     "DfsInputStream",
     "DfsOutputStream",
-    "EditLog",
     "FsckReport",
     "HdfsConfig",
     "fsck",
-    "JournaledNamenode",
     "Namenode",
     "PlacementPolicy",
     "ReplicationMonitor",
-    "replay_into",
 ]

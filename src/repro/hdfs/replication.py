@@ -145,7 +145,7 @@ class ReplicationMonitor:
                 if self._sim.now - last > deadline:
                     self._declare_dead(dn_id)
             # Sweep for blocks that became under-replicated by other means
-            # (block-scanner drops, manual decommissions, ...).
+            # (corrupt replicas dropped, manual decommissions, ...).
             for block in list(self.namenode._blocks.values()):
                 if not block.committed or not block.locations:
                     continue

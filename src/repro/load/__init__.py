@@ -8,30 +8,23 @@ See ``docs/load.md`` for the walkthrough.  The package splits into:
 - :mod:`repro.load.slo` — streaming per-tenant SLO sinks and the final
   :class:`~repro.load.slo.SloReport`.
 - :mod:`repro.load.generator` — the :class:`LoadGenerator` harness
-  (cluster mode over ``cluster.clients``, synthetic M/G/1 mode for
-  memory/determinism gates).
+  (open-loop reads over ``cluster.clients``).
 """
 
 from repro.load.arrivals import (ArrivalProcess, BurstyArrivals,
                                  DiurnalArrivals, PoissonArrivals,
                                  make_arrivals)
-from repro.load.autoscale import (AutoscaleEvent, Autoscaler,
-                                  AutoscalerPolicy)
-from repro.load.generator import LoadGenerator, SyntheticService
+from repro.load.generator import LoadGenerator
 from repro.load.slo import SloReport, TenantSlo, TenantSloSummary
 from repro.load.tenants import TenantSpec, ZipfKeys, default_tenants
 
 __all__ = [
     "ArrivalProcess",
-    "AutoscaleEvent",
-    "Autoscaler",
-    "AutoscalerPolicy",
     "BurstyArrivals",
     "DiurnalArrivals",
     "LoadGenerator",
     "PoissonArrivals",
     "SloReport",
-    "SyntheticService",
     "TenantSlo",
     "TenantSloSummary",
     "TenantSpec",

@@ -1,20 +1,14 @@
 """The open-loop multi-tenant load generator.
 
-Two execution modes share the same tenant specs, seeding and SLO sinks:
-
-**Cluster mode** (:meth:`LoadGenerator.run_cluster`) drives real HDFS
-reads through ``cluster.clients.get(vm=...)``, one client VM per tenant.
-Arrivals are scheduled on the simulation clock independently of request
-completions (each request runs as its own spawned process), so when the
-cluster saturates the queue grows and the latency tail appears — the
-behaviour a closed loop structurally cannot show.  A fault plan armed at
-measurement start turns the run into a chaos-under-load SLO curve.
-
-**Synthetic mode** (:meth:`LoadGenerator.run_synthetic`) replays the same
-seeded arrival streams through an arithmetic M/G/1 pipeline per tenant —
-no event kernel, no retained per-request state — which is what the
-million-sample RSS-flatness benchmark exercises: memory is bounded by the
-sinks alone, independent of sample count.
+:meth:`LoadGenerator.run_cluster` drives real HDFS reads through
+``cluster.clients.get(vm=...)``, one client VM per tenant.  Arrivals are
+scheduled on the simulation clock independently of request completions
+(each request runs as its own spawned process), so when the cluster
+saturates the queue grows and the latency tail appears — the behaviour a
+closed loop structurally cannot show.  A fault plan armed at measurement
+start turns the run into a chaos-under-load SLO curve.  Latencies stream
+into per-tenant SLO sinks, so memory is bounded by the sinks, not by the
+number of requests.
 
 Determinism: every random draw comes from a named
 :class:`~repro.sim.rng.RandomStreams` stream derived from ``(seed,
@@ -25,41 +19,14 @@ processes reproduces the serial run byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.load.slo import SloReport, TenantSlo
 from repro.load.tenants import TenantSpec
 from repro.sim import AllOf
 from repro.sim.rng import RandomStreams
 
-__all__ = ["LoadGenerator", "SyntheticService"]
-
-
-@dataclass(frozen=True)
-class SyntheticService:
-    """Service-time model for synthetic mode (per-tenant M/G/1 pipeline).
-
-    A request for a *hot* key (rank below ``cached_keys``) costs
-    ``cached_seconds`` plus an exponential jitter; any other key pays
-    ``base_seconds`` plus a per-byte cost plus jitter — a crude but
-    load-faithful stand-in for cache-hit vs disk-read service times.
-    """
-
-    base_seconds: float = 4e-3
-    per_byte_seconds: float = 2e-9
-    cached_seconds: float = 8e-4
-    cached_keys: int = 2
-    jitter_seconds: float = 5e-4
-
-    def sample(self, rng, key: int, request_bytes: int) -> float:
-        if key < self.cached_keys:
-            base = self.cached_seconds
-        else:
-            base = self.base_seconds + request_bytes * self.per_byte_seconds
-        if self.jitter_seconds > 0:
-            base += rng.expovariate(1.0 / self.jitter_seconds)
-        return base
+__all__ = ["LoadGenerator"]
 
 
 class LoadGenerator:
@@ -89,44 +56,10 @@ class LoadGenerator:
     def _stream(self, purpose: str, tenant: TenantSpec):
         return self.streams.stream(f"load.{purpose}.{tenant.name}")
 
-    # ------------------------------------------------------- synthetic mode
-    def run_synthetic(self, duration: float,
-                      service: Optional[SyntheticService] = None,
-                      title: str = "synthetic open-loop run") -> SloReport:
-        """Arithmetic open-loop run: no kernel, sink-bounded memory.
-
-        Each tenant is an M/G/1 queue: requests arrive on the tenant's
-        seeded open-loop schedule, are served FIFO by one server, and
-        their latency (completion minus arrival, queueing included)
-        streams straight into the SLO sinks.  Nothing per-request is
-        retained, so RSS stays flat from 10^4 to 10^6 samples.
-        """
-        if duration <= 0:
-            raise ValueError(f"duration must be positive: {duration}")
-        service = service or SyntheticService()
-        slos = self._make_slos()
-        for tenant in self.tenants:
-            rng_arrivals = self._stream("arrivals", tenant)
-            rng_keys = self._stream("keys", tenant)
-            rng_service = self._stream("service", tenant)
-            keys = tenant.keys()
-            slo = slos[tenant.name]
-            server_free = 0.0
-            for arrival in tenant.arrivals().times(rng_arrivals, duration):
-                slo.note_arrival()
-                key = keys.pick(rng_keys)
-                cost = service.sample(rng_service, key,
-                                      tenant.request_bytes)
-                start = server_free if server_free > arrival else arrival
-                server_free = start + cost
-                slo.record(arrival, server_free)
-        return SloReport.from_sinks(title, slos, duration)
-
-    # --------------------------------------------------------- cluster mode
+    # ------------------------------------------------------------------ runs
     def run_cluster(self, cluster, duration: float, mode: str = "auto",
                     dataset_prefix: str = "/load",
                     arm_faults: bool = False,
-                    autoscaler=None,
                     title: str = "open-loop cluster run") -> SloReport:
         """Drive real reads through the cluster's client facade.
 
@@ -136,13 +69,6 @@ class LoadGenerator:
         arms the cluster's fault injector at measurement start, so a
         configured :class:`~repro.faults.plan.FaultPlan` plays out *under
         load* and its damage lands in the SLO report.
-
-        ``autoscaler`` (a :class:`~repro.load.autoscale.Autoscaler`)
-        turns the client pool elastic: the in-flight request count is
-        sampled on the policy interval and extra client VMs join or
-        leave through ``cluster.membership``; tenants then spread their
-        requests round-robin across their primary VM plus the extras.
-        Without an autoscaler the run takes exactly the static code path.
         """
         if duration <= 0:
             raise ValueError(f"duration must be positive: {duration}")
@@ -185,36 +111,11 @@ class LoadGenerator:
         slos = self._make_slos()
         outstanding: List = []
         epoch = sim.now
-        #: Elastic pool state: extra (vm_name, client) pairs the
-        #: autoscaler added, per-VM in-flight counts, and per-tenant
-        #: round-robin dispatch counters.  All plain bookkeeping — with
-        #: no autoscaler none of it is ever consulted.
-        extras: List = []
-        busy: Dict[str, int] = {}
-        dispatch = [0] * len(self.tenants)
-        done = [False]
-
-        def pick_client(index: int):
-            if not extras:
-                return clients[index], None
-            lane = dispatch[index] % (1 + len(extras))
-            dispatch[index] += 1
-            if lane == 0:
-                return clients[index], None
-            name, client = extras[lane - 1]
-            return client, name
 
         def request(index: int, slo: TenantSlo, key: int):
             arrival = sim.now
-            client, vm_name = pick_client(index)
-            if vm_name is not None:
-                busy[vm_name] = busy.get(vm_name, 0) + 1
-            try:
-                yield from client.read_file(
-                    paths[index][key], self.tenants[index].request_bytes)
-            finally:
-                if vm_name is not None:
-                    busy[vm_name] -= 1
+            yield from clients[index].read_file(
+                paths[index][key], self.tenants[index].request_bytes)
             slo.record(arrival - epoch, sim.now - epoch)
 
         def drive(index: int, tenant: TenantSpec):
@@ -232,46 +133,13 @@ class LoadGenerator:
                 outstanding.append(
                     sim.process(request(index, slo, keys.pick(rng_keys))))
 
-        def autoscale_loop():
-            interval = autoscaler.policy.interval_seconds
-            while not done[0]:
-                yield sim.timeout(interval)
-                if done[0]:
-                    return
-                outstanding[:] = [p for p in outstanding if p.is_alive]
-                inflight = len(outstanding)
-                action = autoscaler.decide(sim.now, inflight, len(extras))
-                if action > 0:
-                    host = cluster.hosts[autoscaler.added
-                                         % len(cluster.hosts)]
-                    vm = cluster.membership.add_client_vm(
-                        f"autoscale{autoscaler.added + 1}", host=host)
-                    extras.append(
-                        (vm.name, cluster.clients.get(mode=mode, vm=vm)))
-                    autoscaler.note(sim.now, "add", vm.name, inflight)
-                elif action < 0:
-                    # Retire the newest *idle* extra; busy VMs stay until
-                    # their in-flight reads drain.
-                    for i in range(len(extras) - 1, -1, -1):
-                        name, _ = extras[i]
-                        if busy.get(name, 0) == 0:
-                            extras.pop(i)
-                            busy.pop(name, None)
-                            cluster.membership.remove_client_vm(name)
-                            autoscaler.note(sim.now, "remove", name,
-                                            inflight)
-                            break
-
         if arm_faults:
             cluster.faults.arm()
         drivers = [sim.process(drive(i, tenant))
                    for i, tenant in enumerate(self.tenants)]
-        if autoscaler is not None:
-            sim.process(autoscale_loop())
 
         def whole_run():
             yield AllOf(sim, drivers)
-            done[0] = True
             if outstanding:
                 yield AllOf(sim, outstanding)
 

@@ -6,7 +6,7 @@ latency quantiles and two :class:`~repro.metrics.sinks.WindowedCounter`
 instances (completions and deadline misses) for goodput and violation
 timelines.  Memory is bounded regardless of request count, which is what
 lets the open-loop generator run millions of samples with flat memory
-(``tests/load/test_generator.py`` gates this; ``benchmarks/e2e`` tracks
+(``tests/load/test_slo.py`` gates this; ``benchmarks/e2e`` tracks
 ``peak_rss_mb`` end to end).
 
 :class:`SloReport` reduces the sinks to a plain dataclass of primitives:

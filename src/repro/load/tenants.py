@@ -1,9 +1,8 @@
 """Tenant specifications and skewed key selection.
 
 A *tenant* is one independent traffic source: an arrival process, a
-request-size/key-skew profile, and a latency deadline.  In cluster mode
-each tenant drives its own client VM through ``cluster.clients.get``; in
-synthetic mode each tenant is an M/G/1-style service pipeline.
+request-size/key-skew profile, and a latency deadline.  Each tenant
+drives its own client VM through ``cluster.clients.get``.
 
 Key skew follows the usual Zipf(s) popularity law over a tenant's block
 universe: rank-``k`` popularity proportional to ``1 / k**s``.

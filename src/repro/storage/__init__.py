@@ -1,13 +1,10 @@
-"""Storage substrate: devices, page caches, filesystem, images, streams.
+"""Storage substrate: devices, page caches, filesystem, images.
 
 Layers (bottom up):
 
 * :class:`~repro.storage.device.StorageDevice` — a profile-driven device
   model (:func:`~repro.storage.device.make_device` builds HDD/SSD/NVMe
   tiers from a declarative :class:`~repro.storage.device.DeviceProfile`).
-* :class:`~repro.storage.stream.StreamLayer` — an append-only replicated
-  stream layer (streams as ordered extent lists, sealed extents, atomic
-  appends) that HDFS blocks map onto.
 * :class:`~repro.storage.pagecache.PageCache` — page cache that tracks
   residency as page runs per object (LRU only when bounded); both the
   host kernel and every guest kernel own one.  Cache hits skip device time
@@ -50,13 +47,6 @@ from repro.storage.filesystem import (
 from repro.storage.image import DiskImage
 from repro.storage.loopdev import LoopMount
 from repro.storage.pagecache import PageCache
-from repro.storage.stream import (
-    Extent,
-    ExtentPlacement,
-    Stream,
-    StreamError,
-    StreamLayer,
-)
 
 __all__ = [
     "ByteSource",
@@ -64,8 +54,6 @@ __all__ = [
     "DeviceProfile",
     "DiskError",
     "DiskImage",
-    "Extent",
-    "ExtentPlacement",
     "FileHandle",
     "FileSystem",
     "FsError",
@@ -78,9 +66,6 @@ __all__ = [
     "PatternSource",
     "SSD_PROFILE",
     "StorageDevice",
-    "Stream",
-    "StreamError",
-    "StreamLayer",
     "ZeroSource",
     "make_device",
     "resolve_profile",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig, VirtualHadoopCluster
+from repro.cluster import ClusterConfig, VirtualHadoopCluster, paper_fig10
 from repro.core.integration import VReadDfsClient
 from repro.hdfs import DfsClient
 from repro.hostmodel.frequency import GHZ_1_6, GHZ_3_2
@@ -52,8 +52,10 @@ def test_clients_facade_modes():
 
 
 def test_clients_facade_per_vm():
-    cluster = VirtualHadoopCluster(block_size=1 << 20)
-    vm2 = cluster.membership.add_client_vm("client2")
+    cluster = VirtualHadoopCluster(block_size=1 << 20,
+                                   topology=paper_fig10(clients=2))
+    vm2 = cluster.client_vms[1]
+    assert vm2.name == "client2"
     client2 = cluster.clients.get(vm=vm2)
     assert client2.vm is vm2
     # Same VM, same vanilla client (cached, so blacklists persist).
@@ -63,9 +65,9 @@ def test_clients_facade_per_vm():
 
 def test_deprecated_client_aliases_removed():
     # The clients facade and the membership controller are the only ways
-    # in; the old alias trio and the add_client_vm shim are gone.
+    # in; the old alias trio is gone.
     cluster = VirtualHadoopCluster(block_size=1 << 20)
-    for alias in ("client", "vanilla_client", "client_for", "add_client_vm"):
+    for alias in ("client", "vanilla_client", "client_for"):
         assert not hasattr(cluster, alias)
 
 

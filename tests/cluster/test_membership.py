@@ -147,45 +147,6 @@ def test_last_datanode_cannot_be_decommissioned():
         next(controller.decommission_datanode("dn1"))
 
 
-# ------------------------------------------------------------------ clients
-def test_client_vm_add_remove_roundtrip():
-    cluster = elastic_cluster(vread=True)
-    controller = cluster.membership
-    vm = controller.add_client_vm()
-    assert vm.name == "client3"
-    assert vm.name in controller.client_vm_names()
-    client = cluster.clients.get(vm=vm)
-    write(cluster, "/f", PatternSource(300 << 10, seed=4))
-    expected = PatternSource(300 << 10, seed=4).checksum()
-    assert read_checksum(cluster, "/f", client=client) == expected
-
-    controller.remove_client_vm(vm.name)
-    assert vm.name not in controller.client_vm_names()
-    assert all(vm is not other for host in cluster.hosts
-               for other in host.vms)
-    assert controller.removed_clients == ["client3"]
-    with pytest.raises(MembershipError, match="already removed"):
-        controller.remove_client_vm(vm.name)
-    with pytest.raises(MembershipError, match="did you mean 'client2'"):
-        controller.remove_client_vm("client22")
-
-
-def test_remove_client_vm_accepts_the_vm_object():
-    cluster = elastic_cluster()
-    controller = cluster.membership
-    vm = controller.add_client_vm()
-    controller.remove_client_vm(vm)
-    assert vm.name not in controller.client_vm_names()
-    with pytest.raises(MembershipError, match="already removed"):
-        controller.remove_client_vm(vm)
-
-
-def test_primary_client_vm_cannot_be_removed():
-    cluster = elastic_cluster()
-    with pytest.raises(MembershipError, match="namenode"):
-        cluster.membership.remove_client_vm("client")
-
-
 # ---------------------------------------------------------------- migration
 def test_migrate_datanode_rebinds_vread():
     cluster = elastic_cluster(vread=True)
@@ -216,19 +177,27 @@ def test_migrate_same_host_and_attached_client_rejected():
                        match="is the VM's current host"):
         next(controller.migrate("datanode1", "host1"))
     cluster.clients.get(mode="vread")  # attach the library
-    with pytest.raises(MembershipError, match="detach it first"):
+    with pytest.raises(MembershipError, match="vRead client attachment"):
         next(controller.migrate("client", "host2"))
 
 
-# ---------------------------------------------------------------- observers
-def test_observers_see_every_membership_event():
+# ---------------------------------------------------------------- event log
+def test_log_and_counters_record_every_membership_event():
     cluster = elastic_cluster()
     controller = cluster.membership
-    events = []
-    controller.add_observer(lambda event, detail: events.append(event))
-    controller.add_client_vm("elastic1")
     controller.add_datanode("host2")
-    controller.remove_client_vm("elastic1")
-    assert events == ["client-added", "datanode-added", "client-removed"]
-    assert [entry[0] for entry in controller.log] == [1, 2, 3]
-    assert cluster.fault_counters.get("membership.client-added") == 1
+
+    def churn():
+        yield from controller.migrate("datanode1", "host3",
+                                      ram_bytes=1 << 20)
+
+    cluster.run(cluster.sim.process(churn()))
+    assert [entry[:2] for entry in controller.log] == [
+        (1, "datanode-added"), (2, "vm-migrated")]
+    assert controller.log[0][2] == {"datanode": "dn5", "host": "host2"}
+    assert controller.log[1][2] == {"vm": "datanode1", "host": "host3"}
+    assert controller.version == 2
+    counters = cluster.fault_counters
+    assert counters.get("membership.datanode-added") == 1
+    assert counters.get("membership.vm-migrated") == 1
+    assert counters.get("membership.datanode-decommissioned") == 0

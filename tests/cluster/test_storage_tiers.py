@@ -1,8 +1,7 @@
 """Integration tests: tiered storage through the whole stack.
 
 Covers the ``storage=`` config/topology plumbing, tier-aware hot
-placement, per-tier fault targeting, the stream layer shadowing HDFS
-blocks, and the edit-log round trip of the ``hot`` flag.
+placement, and per-tier fault targeting.
 """
 
 import pytest
@@ -15,8 +14,6 @@ from repro.cluster import (
     rack_cluster,
 )
 from repro.faults.plan import DiskLatencySpike, DiskOutage, _find_devices
-from repro.hdfs.editlog import JournaledNamenode, replay_into
-from repro.hdfs.namenode import Namenode
 from repro.storage.content import PatternSource
 from repro.storage.device import NVME_PROFILE
 
@@ -177,81 +174,3 @@ def test_tier_fault_on_absent_tier_lists_available_tiers():
 def test_disk_outage_describe_mentions_tier():
     assert "tier:nvme" in DiskOutage(tier="nvme").describe()
     assert "tier:hdd" in DiskLatencySpike(tier="hdd").describe()
-
-
-# ------------------------------------------------------------ stream layer
-def test_stream_layer_shadows_committed_blocks():
-    cluster = VirtualHadoopCluster(block_size=1 << 20)
-    client = cluster.clients.get(mode="vanilla")
-    file_bytes = (1 << 20) * 2 + 4096  # three blocks
-
-    def load():
-        yield from client.write_file("/s/data",
-                                     PatternSource(file_bytes, seed=6))
-
-    cluster.run(cluster.sim.process(load()))
-    layer = cluster.stream_layer
-    assert layer.mapped_blocks == 3
-    assert layer.streams() == ["/s/data"]
-    stream = layer.stream("/s/data")
-    assert stream.length == file_bytes
-    for block in cluster.namenode.get_blocks("/s/data"):
-        name, extent, offset, length = layer.locate_block(block.name)
-        assert name == "/s/data" and length == block.size
-
-
-def test_stream_layer_digest_is_reproducible_across_clusters():
-    def build():
-        cluster = VirtualHadoopCluster(block_size=1 << 20)
-        client = cluster.clients.get(mode="vanilla")
-
-        def load():
-            yield from client.write_file(
-                "/d", PatternSource((1 << 20) + 17, seed=7))
-
-        cluster.run(cluster.sim.process(load()))
-        return cluster.stream_layer.digest()
-
-    assert build() == build()
-
-
-def test_stream_layer_forgets_deleted_blocks():
-    cluster = VirtualHadoopCluster(block_size=1 << 20)
-    client = cluster.clients.get(mode="vanilla")
-
-    def proc():
-        yield from client.write_file("/t", PatternSource(4096, seed=8))
-        yield from client.delete("/t")
-
-    cluster.run(cluster.sim.process(proc()))
-    assert cluster.stream_layer.mapped_blocks == 0
-
-
-# ---------------------------------------------------------------- edit log
-def test_edit_log_round_trips_hot_flag():
-    source = JournaledNamenode()
-    source.create_file("/hotfile", replication=1, hot=True)
-    source.create_file("/coldfile", replication=1)
-    restored = Namenode(source.config)
-    replay_into(restored, source)
-    assert restored.file("/hotfile").hot
-    assert not restored.file("/coldfile").hot
-    # Through a checkpoint as well.
-    source.checkpoint()
-    restored2 = Namenode(source.config)
-    replay_into(restored2, source)
-    assert restored2.file("/hotfile").hot
-
-
-def test_edit_log_replays_legacy_two_tuple_create_payloads():
-    from repro.hdfs.editlog import EditLogEntry
-
-    source = JournaledNamenode()
-    source.create_file("/old", replication=1)
-    # Simulate a journal written before the hot flag existed.
-    entry = source.edit_log.entries[0]
-    source.edit_log.entries[0] = EditLogEntry(
-        entry.txid, entry.op, entry.path, entry.payload[:2])
-    restored = Namenode(source.config)
-    replay_into(restored, source)
-    assert not restored.file("/old").hot

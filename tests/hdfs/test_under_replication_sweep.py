@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.hdfs.blockscanner import BlockScanner
 from repro.hdfs.fsck import fsck
 from repro.hdfs.replication import ReplicationMonitor
 from repro.storage.content import LiteralSource, PatternSource
@@ -22,28 +21,25 @@ def run_for(bed, seconds):
     bed.run(bed.sim.process(proc()))
 
 
-def test_scanner_dropped_replica_gets_repaired(hadoop_bed):
-    """Block scanner drops a corrupt replica; the sweep re-replicates it
-    without any datanode dying."""
+def test_dropped_corrupt_replica_gets_repaired(hadoop_bed):
+    """A corrupt replica dropped from the namenode's locations is
+    re-replicated by the sweep without any datanode dying."""
     bed = hadoop_bed
     payload = PatternSource(100 * 1024, seed=77)
     write(bed, "/f", payload, replication=2)
     block = bed.namenode.get_blocks("/f")[0]
 
-    scanner = BlockScanner(bed.datanode1, scan_interval=0.4)
-    scanner._on_event("commit", block, "dn1")
     inode = bed.datanode1_vm.guest_fs.lookup(
         bed.datanode1.block_path(block.name))
     inode.truncate()
     inode.append(LiteralSource(b"\x00" * block.size))
     bed.datanode1_vm.drop_guest_cache()
+    block.locations.remove("dn1")  # the corrupt replica is reported
 
     monitor = ReplicationMonitor(bed.namenode, bed.network,
                                  heartbeat_interval=0.5)
-    scanner.start()
     monitor.start(bed.sim)
     run_for(bed, 4.0)
-    scanner.stop()
     monitor.stop()
 
     assert monitor.re_replications >= 1

@@ -1,12 +1,9 @@
-"""Tests for the open-loop LoadGenerator (synthetic and cluster modes)."""
-
-import tracemalloc
+"""Tests for the open-loop LoadGenerator."""
 
 import pytest
 
 from repro.cluster import VirtualHadoopCluster, paper_fig10
-from repro.load import (LoadGenerator, SyntheticService, TenantSpec,
-                        default_tenants)
+from repro.load import LoadGenerator, TenantSpec, default_tenants
 
 QUICK = dict(rate=40.0, deadline_seconds=0.02, request_bytes=128 << 10,
              n_keys=3)
@@ -19,64 +16,25 @@ def test_generator_validates_population():
     with pytest.raises(ValueError, match="unique"):
         LoadGenerator([twin, twin])
     with pytest.raises(ValueError, match="positive"):
-        LoadGenerator(default_tenants(1, 10.0)).run_synthetic(0.0)
+        LoadGenerator(default_tenants(1, 10.0)).run_cluster(
+            _cluster(), duration=0.0)
 
 
-# ------------------------------------------------------------------ synthetic
-def test_synthetic_is_deterministic_and_open_loop():
-    def report(seed):
-        return LoadGenerator(default_tenants(2, **QUICK),
-                             seed=seed).run_synthetic(10.0)
-
-    first, again, other = report(1), report(1), report(2)
-    assert first.digest() == again.digest()
-    assert first.digest() != other.digest()
-    # Open loop: arrivals are counted even while the queue is backed up,
-    # so arrivals ~ rate * duration regardless of service times.
-    row = first.tenant("tenant1")
-    assert row.arrivals == pytest.approx(400, rel=0.2)
-    assert row.completions == row.arrivals  # synthetic serves everything
-
-
-def test_synthetic_memory_is_bounded_by_the_sinks_not_the_samples():
-    def peak_bytes(samples):
-        rate = 10_000.0
-        tenants = default_tenants(1, rate=rate, deadline_seconds=0.005,
-                                  n_keys=64)
-        tracemalloc.start()
-        try:
-            LoadGenerator(tenants, seed=1).run_synthetic(samples / rate)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    # Retaining anything per sample (even one 8-byte slot) would cost
-    # more than 4 bytes for each of the extra 90,000 samples.
-    assert peak_bytes(100_000) - peak_bytes(10_000) < 4 * 90_000
-
-
-def test_synthetic_latency_grows_with_load():
-    """Open-loop M/G/1: pushing the rate toward saturation fattens p99."""
-    def p99(rate):
-        tenants = default_tenants(1, rate=rate, deadline_seconds=0.02)
-        report = LoadGenerator(tenants, seed=3).run_synthetic(
-            20.0, service=SyntheticService(base_seconds=4e-3,
-                                           cached_seconds=4e-3,
-                                           jitter_seconds=1e-3))
-        return report.tenant("tenant1").p99_ms
-
-    # ~5ms mean service: 100/s is rho~0.5, 190/s is rho~0.95.
-    assert p99(190.0) > 2.0 * p99(100.0)
-
-
-def test_synthetic_tenant_streams_are_independent():
+def test_tenant_streams_are_independent():
     """Adding a tenant must not perturb another tenant's traffic."""
-    solo = LoadGenerator([TenantSpec(name="a", **QUICK)],
-                         seed=5).run_synthetic(5.0)
-    duo = LoadGenerator([TenantSpec(name="a", **QUICK),
-                         TenantSpec(name="b", **QUICK)],
-                        seed=5).run_synthetic(5.0)
-    assert solo.tenant("a").latency_digest == duo.tenant("a").latency_digest
+    def traffic(generator, tenant, duration=5.0):
+        rng_keys = generator._stream("keys", tenant)
+        keys = tenant.keys()
+        arrivals = list(tenant.arrivals().times(
+            generator._stream("arrivals", tenant), duration))
+        return arrivals, [keys.pick(rng_keys) for _ in arrivals]
+
+    a, b = TenantSpec(name="a", **QUICK), TenantSpec(name="b", **QUICK)
+    solo = traffic(LoadGenerator([a], seed=5), a)
+    duo = LoadGenerator([a, b], seed=5)
+    traffic(duo, b)  # b draws first: a's streams must not notice
+    assert traffic(duo, a) == solo
+    assert len(solo[0]) > 100
 
 
 # -------------------------------------------------------------------- cluster

@@ -1,5 +1,8 @@
 """Tests for the streaming SLO sinks and report."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from repro.load.slo import SloReport, TenantSlo
@@ -90,3 +93,23 @@ def test_report_render_mentions_every_tenant():
     assert "t1" in text
     assert "p99" in text
     assert "hello" in text
+
+
+def test_slo_memory_is_bounded_by_the_sinks_not_the_samples():
+    def peak_bytes(samples):
+        rate = 10_000.0
+        rng = random.Random(1)
+        tracemalloc.start()
+        try:
+            slo = TenantSlo("t1", deadline_seconds=0.005)
+            for index in range(samples):
+                arrival = index / rate
+                slo.note_arrival()
+                slo.record(arrival, arrival + rng.expovariate(250.0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Retaining anything per sample (even one 8-byte slot) would cost
+    # more than 4 bytes for each of the extra 90,000 samples.
+    assert peak_bytes(100_000) - peak_bytes(10_000) < 4 * 90_000

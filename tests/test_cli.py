@@ -74,3 +74,53 @@ def test_registry_did_you_mean():
 
     with pytest.raises(KeyError, match="did you mean 'fig13'"):
         registry.get("fig1")
+
+
+def _stub_report(monkeypatch):
+    """Record ``run all``'s runner calls; results are stubs, no headlines."""
+    import dataclasses
+
+    from repro.experiments import registry, runner
+
+    calls = []
+
+    class Stub:
+        def render(self):
+            return "stub table"
+
+    def run_experiment(name, profile="default", jobs=1, seed=0):
+        calls.append((name, profile, jobs, seed))
+        return Stub()
+
+    real_specs = registry.specs
+    monkeypatch.setattr(runner, "run_experiment", run_experiment)
+    monkeypatch.setattr(registry, "specs", lambda groups=None: [
+        dataclasses.replace(spec, headline=None)
+        for spec in real_specs(groups)])
+    return calls, real_specs
+
+
+def test_run_all_forwards_profile_jobs_and_seed(monkeypatch, capsys):
+    calls, specs = _stub_report(monkeypatch)
+    assert main(["run", "all", "--quick", "--jobs", "3", "--seed", "5"]) == 0
+    expected = [spec.name for spec in specs(("paper",))]
+    assert [call[0] for call in calls] == expected
+    assert {call[1:] for call in calls} == {("quick", 3, 5)}
+    assert capsys.readouterr().out.count("stub table") == len(expected)
+
+
+def test_run_all_ablations_widens_the_report(monkeypatch, capsys):
+    calls, specs = _stub_report(monkeypatch)
+    assert main(["run", "all", "--paper", "--ablations"]) == 0
+    assert [call[0] for call in calls] == [
+        spec.name for spec in specs(("paper", "ablation", "extension"))]
+    assert {call[1:] for call in calls} == {("paper", 1, 0)}
+
+
+def test_run_all_rejects_json_and_ablations_needs_all(capsys, tmp_path):
+    with pytest.raises(SystemExit):
+        main(["run", "all", "--json", str(tmp_path / "out.json")])
+    assert "--json" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["run", "fig03", "--ablations"])
+    assert "--ablations" in capsys.readouterr().err
