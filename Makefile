@@ -36,9 +36,10 @@ bench-smoke:
 kernel-smoke:
 	PYTHONPATH=src python -m pytest tests/sim tests/hostmodel tests/experiments/test_reference_equivalence.py -q
 
-# Every registry experiment at quick, once on the fast paths and once
-# under REPRO_SANITIZE=1 (the sliced CPU reference): the canonical JSON
-# of the two runs must be byte-identical.
+# Every registry experiment at quick, once on the fast paths with sweeps
+# fanned out over two workers and once serially under REPRO_SANITIZE=1
+# (the sliced CPU reference): the canonical JSON of the two runs must be
+# byte-identical, which also holds every sweep to --jobs identity.
 REFERENCE_DIR ?= .reference-check
 reference-check:
 	@mkdir -p $(REFERENCE_DIR)
@@ -46,7 +47,7 @@ reference-check:
 	total=0; same=0; \
 	for exp in $$names; do \
 		total=$$((total + 1)); \
-		PYTHONPATH=src python -m repro run $$exp --quick --json $(REFERENCE_DIR)/$$exp.fast.json > /dev/null || exit 1; \
+		PYTHONPATH=src python -m repro run $$exp --quick --jobs 2 --json $(REFERENCE_DIR)/$$exp.fast.json > /dev/null || exit 1; \
 		REPRO_SANITIZE=1 PYTHONPATH=src python -m repro run $$exp --quick --json $(REFERENCE_DIR)/$$exp.reference.json > /dev/null || exit 1; \
 		if cmp -s $(REFERENCE_DIR)/$$exp.fast.json $(REFERENCE_DIR)/$$exp.reference.json; then \
 			same=$$((same + 1)); echo "identical  $$exp"; \

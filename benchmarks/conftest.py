@@ -12,6 +12,13 @@ import pytest
 _reports = []
 
 
+@pytest.fixture(scope="session")
+def cells():
+    """One table of measured sweep points for the whole bench session:
+    Figs 11-13 share their TestDFSIO cells, so each cell runs once."""
+    return {}
+
+
 @pytest.fixture
 def report():
     """Record a rendered figure/table for the end-of-run summary."""

@@ -5,14 +5,15 @@ quad-core host as clients are added, while vRead — needing a fraction of
 the cycles per byte — keeps scaling, so the gap widens with client count.
 """
 
-from repro.experiments import scale_clients
+from repro.experiments.runner import run_experiment
 
 FILE_BYTES = 16 << 20
 
 
 def test_extension_scale_clients(benchmark, report):
     result = benchmark.pedantic(
-        lambda: scale_clients.run(file_bytes=FILE_BYTES),
+        lambda: run_experiment("scale-clients",
+                               params={"file_bytes": FILE_BYTES}),
         rounds=1, iterations=1)
     lines = [result.render()]
     gaps = []

@@ -10,14 +10,16 @@ Shape checks from the paper's text:
   (up to 150% in the paper).
 """
 
-from repro.experiments import fig11_dfsio_throughput as fig11
+from repro.experiments.runner import run_experiment
 
 FILE_BYTES = 32 << 20
 
 
-def test_fig11_dfsio_throughput(benchmark, report):
+def test_fig11_dfsio_throughput(benchmark, report, cells):
     result = benchmark.pedantic(
-        lambda: fig11.run(file_bytes=FILE_BYTES), rounds=1, iterations=1)
+        lambda: run_experiment("fig11", params={"file_bytes": FILE_BYTES},
+                               cells=cells),
+        rounds=1, iterations=1)
     lines = [result.render(), ""]
     lines.append(f"  co-located read improvement @3.2GHz 2vms: "
                  f"{result.improvement_pct('colocated', 'read', '3.2GHz', 2):.1f}%"

@@ -5,14 +5,16 @@ Shape checks: vRead consumes less client CPU than vanilla in every cell
 savings, not at their expense), and CPU time shrinks as frequency rises.
 """
 
-from repro.experiments import fig12_dfsio_cputime as fig12
+from repro.experiments.runner import run_experiment
 
 FILE_BYTES = 32 << 20
 
 
-def test_fig12_dfsio_cputime(benchmark, report):
+def test_fig12_dfsio_cputime(benchmark, report, cells):
     result = benchmark.pedantic(
-        lambda: fig12.run(file_bytes=FILE_BYTES), rounds=1, iterations=1)
+        lambda: run_experiment("fig12", params={"file_bytes": FILE_BYTES},
+                               cells=cells),
+        rounds=1, iterations=1)
     saving = result.cpu_saving_pct("colocated", "read", "2.0GHz", 2)
     report(result.render()
            + f"\n  co-located read CPU saving @2.0GHz 2vms: {saving:.1f}%")

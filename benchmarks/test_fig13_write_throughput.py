@@ -5,14 +5,16 @@ Shape check: the mount-refresh work triggered per committed block
 in every scenario (the paper calls it negligible).
 """
 
-from repro.experiments import fig13_write_throughput as fig13
+from repro.experiments.runner import run_experiment
 
 FILE_BYTES = 32 << 20
 
 
-def test_fig13_write_throughput(benchmark, report):
+def test_fig13_write_throughput(benchmark, report, cells):
     result = benchmark.pedantic(
-        lambda: fig13.run(file_bytes=FILE_BYTES), rounds=1, iterations=1)
+        lambda: run_experiment("fig13", params={"file_bytes": FILE_BYTES},
+                               cells=cells),
+        rounds=1, iterations=1)
     lines = [result.render()]
     for i, scenario in enumerate(result.x_values):
         vanilla = result.series["vanilla"][i]

@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.experiments import registry
 
@@ -41,19 +41,6 @@ def _profile(args) -> str:
     if getattr(args, "paper", False):
         return "paper"
     return "quick" if args.quick else "default"
-
-
-def _runner_for(name: str, quick: bool) -> Callable[[], object]:
-    """Compat shim for the pre-registry CLI: a zero-arg runner for ``name``.
-
-    New code should call :func:`repro.experiments.runner.run_experiment`
-    directly (which also accepts ``jobs`` and ``seed``).
-    """
-    from repro.experiments import runner
-
-    registry.get(name)  # raise KeyError early for unknown names
-    profile = "quick" if quick else "default"
-    return lambda: runner.run_experiment(name, profile=profile)
 
 
 def cmd_list(_args) -> int:
@@ -71,13 +58,17 @@ def _run_report(args) -> int:
 
     groups = (("paper", "ablation", "extension") if args.ablations
               else ("paper",))
+    # One table of measured sweep points for the whole report: Figs 11-13
+    # share their TestDFSIO cells, so each cell runs once.
+    cells = {}
     # Legitimate wall-clock use: this times how long the *experiment runner*
     # takes on the host machine (reported as "wall time"), not anything
     # inside the simulation — simulated time comes only from Simulator.now.
     for spec in registry.specs(groups):
         started = time.time()  # simlint: disable=no-wallclock
         result = runner.run_experiment(spec.name, profile=_profile(args),
-                                       jobs=args.jobs, seed=args.seed)
+                                       jobs=args.jobs, seed=args.seed,
+                                       cells=cells)
         elapsed = time.time() - started  # simlint: disable=no-wallclock
         print(f"\n{'=' * 72}\n{spec.figure}  (wall time {elapsed:.1f}s)\n"
               f"{'=' * 72}")

@@ -12,7 +12,7 @@ CPU-only gap regardless of tier.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cluster import VirtualHadoopCluster
 from repro.experiments.common import FigureResult, load_dataset
@@ -22,23 +22,22 @@ from repro.storage.content import PatternSource
 TIERS = ("hdd", "ssd", "nvme")
 MODES = ("vanilla", "vRead")
 
-#: Memoized cells: (tier, mode, file_bytes) -> (cold MBps, re-read MBps).
-#: The parallel runner seeds this from worker results before assembling.
-_cache: Dict[Tuple, Tuple[float, float]] = {}
+
+def points(**_ignored) -> List[Tuple[str, str]]:
+    """Every (tier, mode) cell, slowest tier first."""
+    return [(tier, mode) for tier in TIERS for mode in MODES]
 
 
-def run_cell(tier: str, mode: str, file_bytes: int) -> Tuple[float, float]:
-    """One sweep cell (memoized): throughput on ``tier`` under ``mode``."""
-    key = (tier, mode, file_bytes)
-    if key not in _cache:
-        _cache[key] = _measure(tier, mode == "vRead", file_bytes)
-    return _cache[key]
+def run_point(point: Tuple[str, str], seed: int, file_bytes: int = 32 << 20,
+              **_ignored) -> Tuple[float, float]:
+    """Cold and cache-warm co-located read MB/s of one (tier, mode) cell.
 
-
-def _measure(tier: str, vread: bool, file_bytes: int) -> Tuple[float, float]:
-    """Cold and cache-warm co-located read MB/s on a ``tier`` cluster."""
+    Cells are seed-free (fully determined by the grid); the derived seed
+    is accepted for the runner's interface.
+    """
+    tier, mode = point
     cluster = VirtualHadoopCluster(block_size=max(file_bytes, 1 << 20),
-                                   vread=vread, storage=tier)
+                                   vread=(mode == "vRead"), storage=tier)
     load_dataset(cluster, "/tiers/data", PatternSource(file_bytes, seed=81),
                  favored=["dn1"])  # co-located datanode
     client = cluster.clients.get()
@@ -55,7 +54,7 @@ def _measure(tier: str, vread: bool, file_bytes: int) -> Tuple[float, float]:
 
 
 def assemble(values: Dict[Tuple[str, str], Tuple[float, float]],
-             file_bytes: int = 32 << 20) -> FigureResult:
+             file_bytes: int = 32 << 20, **_ignored) -> FigureResult:
     """Build the figure from ``(tier, mode) -> (cold, warm)`` cells."""
     series = {f"{mode} cold": [values[(tier, mode)][0] for tier in TIERS]
               for mode in MODES}
@@ -72,10 +71,3 @@ def assemble(values: Dict[Tuple[str, str], Tuple[float, float]],
         notes=f"{file_bytes >> 20}MB file; cold = after "
               "drop_all_caches, re-read = host page cache warm",
     )
-
-
-def run(file_bytes: int = 32 << 20) -> FigureResult:
-    """Run the experiment; see the module docstring for the setup."""
-    values = {(tier, mode): run_cell(tier, mode, file_bytes)
-              for tier in TIERS for mode in MODES}
-    return assemble(values, file_bytes=file_bytes)

@@ -7,15 +7,15 @@ under a replicated multi-block read, and verifies the data byte-for-byte.
 The sweep reports per-case read latency and fault/recovery activity — the
 figure is an extension (the paper has no chaos experiment), but it doubles
 as the reproduction's end-to-end resilience regression and as the
-parallel-runner determinism workload: cases are independent, their plan
-seeds are derived from the root seed, so ``--jobs 1`` and ``--jobs N`` must
-produce identical output.
+parallel-runner determinism workload: cases are independent, each case's
+plan seed is the runner's seed derived from ``(root seed, ("case", i))``,
+so ``--jobs 1`` and ``--jobs N`` must produce identical output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Tuple
 
 from repro.cluster import VirtualHadoopCluster
 from repro.experiments.common import FigureResult
@@ -32,6 +32,18 @@ class ChaosCase:
     verified: bool
     fault_events: int
     recovery_events: int
+
+
+def points(cases: int = 6, **_ignored) -> List[Tuple[str, int]]:
+    """One point per case."""
+    return [("case", index) for index in range(cases)]
+
+
+def run_point(point: Tuple[str, int], seed: int, **params) -> ChaosCase:
+    """Run one case (see :func:`run_case`); the derived seed is its plan
+    seed."""
+    params.pop("cases", None)  # the grid size, read by points()
+    return run_case(seed, **params)
 
 
 def run_case(plan_seed: int, file_bytes: int = 4 << 20,
@@ -73,9 +85,10 @@ def run_case(plan_seed: int, file_bytes: int = 4 << 20,
     return case
 
 
-def assemble(cases: Sequence[ChaosCase], file_bytes: int = 4 << 20,
-             **_ignored) -> FigureResult:
-    """Build the sweep figure from already-computed cases."""
+def assemble(results: Dict[Tuple[str, int], ChaosCase],
+             file_bytes: int = 4 << 20, **_ignored) -> FigureResult:
+    """Build the sweep figure from the measured cases, in case order."""
+    cases = list(results.values())
     series: Dict[str, List[float]] = {
         "read ms": [round(case.read_ms, 3) for case in cases],
         "faults": [float(case.fault_events) for case in cases],
@@ -92,20 +105,3 @@ def assemble(cases: Sequence[ChaosCase], file_bytes: int = 4 << 20,
         notes=f"{file_bytes >> 20}MB replicated reads, 3 hosts, "
               f"vRead with degrade+failover",
     )
-
-
-def run(seeds: Optional[Sequence[int]] = None, cases: int = 6,
-        file_bytes: int = 4 << 20, faults: int = 3,
-        horizon: float = 0.002) -> FigureResult:
-    """Run the sweep serially; see the module docstring for the setup.
-
-    ``seeds`` overrides the plan seeds; by default the first ``cases``
-    integers are used.  The parallel runner instead derives each case's
-    plan seed from ``(root_seed, point)`` — see
-    :mod:`repro.experiments.runner`.
-    """
-    if seeds is None:
-        seeds = tuple(range(cases))
-    outcomes = [run_case(seed, file_bytes=file_bytes, faults=faults,
-                         horizon=horizon) for seed in seeds]
-    return assemble(outcomes, file_bytes=file_bytes)

@@ -11,20 +11,32 @@ Scenario -> data layout:
 * ``colocated`` — all blocks on the datanode VM sharing the client's host;
 * ``remote``    — all blocks on the datanode VM on the other host;
 * ``hybrid``    — blocks spread round-robin over both datanodes.
+
+Figures 11 and 12 share this module's ``points`` and ``run_point``;
+Figure 13 shares ``run_point`` over its own 2.0 GHz / 2-VM points.  The
+runner measures each cell once per ``cells`` table it is handed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster import VirtualHadoopCluster
+from repro.experiments.common import FigureResult
 from repro.hostmodel.frequency import PAPER_FREQUENCIES, frequency_label
 from repro.workloads.testdfsio import TestDfsio
 
 SCENARIOS = ("colocated", "remote", "hybrid")
 VM_COUNTS = (2, 4)
 MODES = ("vanilla", "vRead")
+
+#: The six panels of Figures 11 and 12: (scenario, phase, letter).
+PANELS = (
+    ("colocated", "read", "(a)"), ("remote", "read", "(b)"),
+    ("hybrid", "read", "(c)"), ("colocated", "reread", "(d)"),
+    ("remote", "reread", "(e)"), ("hybrid", "reread", "(f)"),
+)
 
 
 @dataclass
@@ -39,9 +51,6 @@ class DfsioCell:
 
 CellKey = Tuple[str, float, int, str]
 
-#: Memoized sweep cells, so fig11/fig12/fig13 can share runs.
-_cache: Dict[Tuple, DfsioCell] = {}
-
 
 def _scenario_layout(scenario: str):
     if scenario == "colocated":
@@ -54,13 +63,9 @@ def _scenario_layout(scenario: str):
 
 
 def run_cell(scenario: str, frequency_hz: float, total_vms: int, mode: str,
-             file_bytes: int = 32 << 20, n_files: int = 2,
+             file_bytes: int, n_files: int,
              request_bytes: int = 1 << 20) -> DfsioCell:
-    """Measure one sweep cell (memoized on all arguments)."""
-    key = (scenario, frequency_hz, total_vms, mode, file_bytes, n_files,
-           request_bytes)
-    if key in _cache:
-        return _cache[key]
+    """Measure one sweep cell on a fresh cluster."""
     layout = _scenario_layout(scenario)
     cluster = VirtualHadoopCluster(
         block_size=64 << 20, frequency_hz=frequency_hz,
@@ -77,37 +82,56 @@ def run_cell(scenario: str, frequency_hz: float, total_vms: int, mode: str,
     write_result, read_result, reread_result = cluster.run(
         cluster.sim.process(proc()))
     cluster.stop_background()
-    cell = DfsioCell(
+    return DfsioCell(
         read_mbps=read_result.throughput_mbps,
         reread_mbps=reread_result.throughput_mbps,
         read_cpu_ms=read_result.cpu_milliseconds,
         reread_cpu_ms=reread_result.cpu_milliseconds,
         write_mbps=write_result.throughput_mbps,
     )
-    _cache[key] = cell
-    return cell
 
 
-def run_sweep(scenarios: Sequence[str] = SCENARIOS,
-              frequencies: Sequence[float] = PAPER_FREQUENCIES,
-              vm_counts: Sequence[int] = VM_COUNTS,
-              modes: Sequence[str] = MODES,
-              file_bytes: int = 32 << 20, n_files: int = 2,
-              request_bytes: int = 1 << 20
-              ) -> Dict[Tuple[str, float, int, str], DfsioCell]:
-    """Run the full (or a partial) sweep; returns cells keyed by
-    (scenario, frequency, vms, mode)."""
-    cells = {}
-    for scenario in scenarios:
-        for frequency in frequencies:
-            for vms in vm_counts:
-                for mode in modes:
-                    cells[(scenario, frequency, vms, mode)] = run_cell(
-                        scenario, frequency, vms, mode, file_bytes, n_files,
-                        request_bytes)
-    return cells
+def points(frequencies: Sequence[float] = PAPER_FREQUENCIES,
+           **_ignored) -> List[CellKey]:
+    """The full grid of Figures 11 and 12, in report order."""
+    return [(scenario, frequency, vms, mode)
+            for scenario in SCENARIOS
+            for frequency in frequencies
+            for vms in VM_COUNTS
+            for mode in MODES]
 
 
-def clear_cache() -> None:
-    """Drop all memoized sweep cells (forces fresh runs)."""
-    _cache.clear()
+def run_point(point: CellKey, seed: int, file_bytes: int = 32 << 20,
+              n_files: int = 2, **_ignored) -> DfsioCell:
+    """Measure one cell.  Cells are seed-free (fully determined by the
+    grid); the derived seed is accepted for the runner's interface."""
+    return run_cell(*point, file_bytes, n_files)
+
+
+def panels(results: Dict[CellKey, DfsioCell], figure: str, title: str,
+           unit: str, fields: Tuple[str, str], file_bytes: int,
+           n_files: int) -> Dict[Tuple[str, str], FigureResult]:
+    """The six panels of Figure 11 or 12 from the measured cells.
+
+    ``fields`` names the :class:`DfsioCell` attributes plotted for the
+    read and the re-read phase; the frequency axis is the one the cells
+    were measured at.
+    """
+    frequencies = list(dict.fromkeys(point[1] for point in results))
+    figures = {}
+    for scenario, phase, letter in PANELS:
+        field = fields[phase == "reread"]
+        figures[(scenario, phase)] = FigureResult(
+            figure=f"{figure}{letter}",
+            title=f"{title} for {scenario} "
+                  f"{'re-read' if phase == 'reread' else 'read'}",
+            x_label="CPU frequency",
+            x_values=[frequency_label(f) for f in frequencies],
+            series={f"{mode}-{vms}vms": [
+                        getattr(results[(scenario, f, vms, mode)], field)
+                        for f in frequencies]
+                    for mode in MODES for vms in VM_COUNTS},
+            unit=unit,
+            notes=f"{n_files} x {file_bytes >> 20}MB files, 1MB buffer",
+        )
+    return figures

@@ -2,23 +2,20 @@
 
 Panels (a)-(c): cold read throughput for co-located / remote / hybrid;
 panels (d)-(f): warm re-read.  Each panel sweeps CPU frequency
-(1.6/2.0/3.2 GHz) with four bars: vanilla/vRead x 2 VMs/4 VMs.
+(1.6/2.0/3.2 GHz) with four bars: vanilla/vRead x 2 VMs/4 VMs.  The grid
+and the cell measurement are :mod:`~repro.experiments.dfsio_sweep`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.experiments.common import FigureResult
-from repro.experiments.dfsio_sweep import MODES, SCENARIOS, VM_COUNTS, run_sweep
-from repro.hostmodel.frequency import PAPER_FREQUENCIES, frequency_label
+from repro.experiments.dfsio_sweep import (CellKey, DfsioCell, panels,
+                                           points, run_point)
 
-PANELS = (
-    ("colocated", "read", "(a)"), ("remote", "read", "(b)"),
-    ("hybrid", "read", "(c)"), ("colocated", "reread", "(d)"),
-    ("remote", "reread", "(e)"), ("hybrid", "reread", "(f)"),
-)
+__all__ = ["Fig11Result", "assemble", "points", "run_point"]
 
 
 @dataclass
@@ -39,31 +36,9 @@ class Fig11Result:
         return (vread - vanilla) / vanilla * 100.0
 
 
-def run(frequencies: Sequence[float] = PAPER_FREQUENCIES,
-        file_bytes: int = 32 << 20, n_files: int = 2) -> Fig11Result:
-    """Run the experiment; see the module docstring for the setup."""
-    cells = run_sweep(frequencies=frequencies, file_bytes=file_bytes,
-                      n_files=n_files)
-    labels = [frequency_label(f) for f in frequencies]
-    panels = {}
-    for scenario, phase, letter in PANELS:
-        series = {}
-        for mode in MODES:
-            for vms in VM_COUNTS:
-                values = []
-                for frequency in frequencies:
-                    cell = cells[(scenario, frequency, vms, mode)]
-                    values.append(cell.read_mbps if phase == "read"
-                                  else cell.reread_mbps)
-                series[f"{mode}-{vms}vms"] = values
-        panels[(scenario, phase)] = FigureResult(
-            figure=f"Fig 11{letter}",
-            title=f"DFSIO throughput for {scenario} "
-                  f"{'re-read' if phase == 'reread' else 'read'}",
-            x_label="CPU frequency",
-            x_values=labels,
-            series=series,
-            unit="MBps",
-            notes=f"{n_files} x {file_bytes >> 20}MB files, 1MB buffer",
-        )
-    return Fig11Result(panels)
+def assemble(results: Dict[CellKey, DfsioCell], file_bytes: int = 32 << 20,
+             n_files: int = 2, **_ignored) -> Fig11Result:
+    """Build the six throughput panels from the measured cells."""
+    return Fig11Result(panels(results, "Fig 11", "DFSIO throughput", "MBps",
+                              ("read_mbps", "reread_mbps"), file_bytes,
+                              n_files))

@@ -2,18 +2,20 @@
 
 The same sweep as Figure 11, reporting the benchmark's client-side CPU
 running time (ms) instead of throughput — vRead must save CPU in every
-panel, not just elapsed time.
+panel, not just elapsed time.  Both figures come from the same cells, so
+a shared ``cells`` table measures them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.experiments.common import FigureResult
-from repro.experiments.dfsio_sweep import MODES, VM_COUNTS, run_sweep
-from repro.experiments.fig11_dfsio_throughput import PANELS
-from repro.hostmodel.frequency import PAPER_FREQUENCIES, frequency_label
+from repro.experiments.dfsio_sweep import (CellKey, DfsioCell, panels,
+                                           points, run_point)
+
+__all__ = ["Fig12Result", "assemble", "points", "run_point"]
 
 
 @dataclass
@@ -34,31 +36,9 @@ class Fig12Result:
         return (vanilla - vread) / vanilla * 100.0
 
 
-def run(frequencies: Sequence[float] = PAPER_FREQUENCIES,
-        file_bytes: int = 32 << 20, n_files: int = 2) -> Fig12Result:
-    """Run the experiment; see the module docstring for the setup."""
-    cells = run_sweep(frequencies=frequencies, file_bytes=file_bytes,
-                      n_files=n_files)
-    labels = [frequency_label(f) for f in frequencies]
-    panels = {}
-    for scenario, phase, letter in PANELS:
-        series = {}
-        for mode in MODES:
-            for vms in VM_COUNTS:
-                values = []
-                for frequency in frequencies:
-                    cell = cells[(scenario, frequency, vms, mode)]
-                    values.append(cell.read_cpu_ms if phase == "read"
-                                  else cell.reread_cpu_ms)
-                series[f"{mode}-{vms}vms"] = values
-        panels[(scenario, phase)] = FigureResult(
-            figure=f"Fig 12{letter}",
-            title=f"DFSIO CPU time for {scenario} "
-                  f"{'re-read' if phase == 'reread' else 'read'}",
-            x_label="CPU frequency",
-            x_values=labels,
-            series=series,
-            unit="ms",
-            notes=f"{n_files} x {file_bytes >> 20}MB files, 1MB buffer",
-        )
-    return Fig12Result(panels)
+def assemble(results: Dict[CellKey, DfsioCell], file_bytes: int = 32 << 20,
+             n_files: int = 2, **_ignored) -> Fig12Result:
+    """Build the six CPU-time panels from the measured cells."""
+    return Fig12Result(panels(results, "Fig 12", "DFSIO CPU time", "ms",
+                              ("read_cpu_ms", "reread_cpu_ms"), file_bytes,
+                              n_files))

@@ -147,6 +147,24 @@ def _measure(vread: bool, chaos: bool, rate: float, seed: int,
         title=f"{mode} {health} @ {rate:g} req/s/tenant")
 
 
+def points(rates: Sequence[float] = (20.0, 60.0, 120.0),
+           **_ignored) -> List[Tuple[str, str, float]]:
+    """Every (mode, health, rate) point."""
+    return [(mode, health, rate)
+            for mode in MODES for health in HEALTH for rate in rates]
+
+
+def run_point(point: Tuple[str, str, float], seed: int,
+              duration: float = 2.5, n_tenants: int = 2,
+              request_bytes: int = 256 << 10, deadline_ms: float = 2.0,
+              arrival_kind: str = "bursty", **_ignored) -> SloReport:
+    """Measure one point with the derived seed."""
+    mode, health, rate = point
+    return _measure(mode == "vRead", health == "chaos", rate, seed,
+                    duration, n_tenants, request_bytes, deadline_ms * 1e-3,
+                    arrival_kind)
+
+
 def assemble(values: Dict[Tuple[str, str, float], SloReport],
              rates: Sequence[float] = (20.0, 60.0, 120.0),
              duration: float = 2.5, n_tenants: int = 2,
@@ -163,23 +181,3 @@ def assemble(values: Dict[Tuple[str, str, float], SloReport],
         notes=(f"{n_tenants} tenants, {arrival_kind} arrivals, "
                f"{duration:g}s window, {deadline_ms:g}ms deadline; chaos = "
                f"cache drop + 8x disk latency spike under load"))
-
-
-def run(rates: Sequence[float] = (20.0, 60.0, 120.0),
-        duration: float = 2.5, n_tenants: int = 2,
-        request_bytes: int = 256 << 10, deadline_ms: float = 2.0,
-        arrival_kind: str = "bursty", seed: int = 0) -> LoadSweepResult:
-    """Run the sweep serially (the registry fan-out parallelizes this)."""
-    from repro.experiments.runner import derive_seed
-    values = {}
-    for mode in MODES:
-        for health in HEALTH:
-            for rate in rates:
-                point = (mode, health, rate)
-                values[point] = _measure(
-                    mode == "vRead", health == "chaos", rate,
-                    derive_seed(seed, point), duration, n_tenants,
-                    request_bytes, deadline_ms * 1e-3, arrival_kind)
-    return assemble(values, rates=rates, duration=duration,
-                    n_tenants=n_tenants, deadline_ms=deadline_ms,
-                    arrival_kind=arrival_kind)

@@ -2,24 +2,27 @@
 
 Every experiment the reproduction can run is registered here with its CLI
 name, the paper figure/table it reproduces, its parameter grid per size
-profile (``quick`` / ``default`` / ``paper``), and a lazily-imported
-builder function.  The CLI (``python -m repro run <name>``), the full
+profile (``quick`` / ``default`` / ``paper``), and the lazily-imported
+module that builds it.  The CLI (``python -m repro run <name>``), the full
 report (``python -m repro run all``) and the parallel runner
 (:mod:`repro.experiments.runner`) are all thin clients of this table; it
 is the only entry point (the old per-module ``main()`` shims are gone).
 
-Sweep-shaped experiments additionally register a :class:`Fanout`: a way to
-decompose the run into independent *points* (one simulated cluster each)
-that the runner may execute across worker processes.  Each point receives a
-seed derived deterministically from ``(root_seed, point)``, so serial and
-parallel runs are byte-identical.
+A sweep (``sweep=True``) declares its grid once, in its own module, as
+three functions: ``points(**params)`` lists the independent points (one
+simulated cluster each), ``run_point(point, seed, **params)`` measures one
+of them, and ``assemble(results, **params)`` builds the result from the
+``{point: result}`` table.  Parameter defaults live only in those
+signatures.  The runner derives each point's seed from
+``(root_seed, point)``, so serial and parallel runs are byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from types import ModuleType
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 #: Size profiles accepted by :meth:`ExperimentSpec.params`.
 PROFILES = ("quick", "default", "paper")
@@ -40,26 +43,8 @@ def _sizes(profile: str) -> Dict[str, int]:
 
 
 @dataclass(frozen=True)
-class Fanout:
-    """Decomposition of an experiment into independent sweep points.
-
-    ``points(kwargs)`` lists the points (hashable tuples) in serial order;
-    ``run_point(point, seed, kwargs)`` measures one point in isolation
-    (called in a worker process — it must depend only on its arguments);
-    ``assemble(results, kwargs, build)`` combines the ordered
-    ``[(point, result), ...]`` list into the experiment's final result,
-    typically by seeding a module-level memo cache and calling ``build``.
-    """
-
-    points: Callable[[Dict[str, Any]], List[Tuple]]
-    run_point: Callable[[Tuple, int, Dict[str, Any]], Any]
-    assemble: Callable[[List[Tuple[Tuple, Any]], Dict[str, Any],
-                        Callable[..., Any]], Any]
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
-    """One runnable experiment: identity, parameters, builder, fan-out."""
+    """One runnable experiment: identity, parameters, builder or sweep."""
 
     name: str                                  # CLI name, e.g. "fig11"
     figure: str                                # report heading, e.g. "Fig 11"
@@ -68,23 +53,27 @@ class ExperimentSpec:
     func: str = "run"                          # builder attribute in module
     #: profile -> builder kwargs (the parameter grid).
     params: Callable[[str], Dict[str, Any]] = field(default=lambda p: {})
-    fanout: Optional[Fanout] = None
+    #: the module declares ``points`` / ``run_point`` / ``assemble``.
+    sweep: bool = False
     #: result -> headline lines for the report (paper-comparison numbers).
     headline: Optional[Callable[[Any], List[str]]] = None
     #: report group: "paper" always runs; "ablation"/"extension" run with
     #: --ablations; "other" is CLI-only.
     group: str = "paper"
 
-    def resolve(self) -> Callable[..., Any]:
-        """Import and return the builder function."""
-        return getattr(import_module(f"repro.experiments.{self.module}"),
-                       self.func)
+    def _import(self) -> ModuleType:
+        return import_module(f"repro.experiments.{self.module}")
 
-    def build(self, profile: str = "default", **overrides) -> Any:
-        """Run the experiment serially with the profile's parameters."""
-        kwargs = dict(self.params(profile))
-        kwargs.update(overrides)
-        return self.resolve()(**kwargs)
+    @property
+    def fanout(self) -> Optional[ModuleType]:
+        """The sweep's module (its ``points`` / ``run_point`` /
+        ``assemble``), or ``None`` for a one-shot experiment."""
+        return self._import() if self.sweep else None
+
+    def resolve(self) -> Callable[..., Any]:
+        """Import and return the builder (a sweep's ``run_point``)."""
+        return getattr(self._import(),
+                       "run_point" if self.sweep else self.func)
 
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}
@@ -120,249 +109,6 @@ def specs(groups: Optional[Sequence[str]] = None) -> List[ExperimentSpec]:
     if groups is None:
         return list(_REGISTRY.values())
     return [spec for spec in _REGISTRY.values() if spec.group in groups]
-
-
-# --------------------------------------------------------------------- fanouts
-def _dfsio_points(kwargs: Dict[str, Any]) -> List[Tuple]:
-    from repro.experiments.dfsio_sweep import MODES, SCENARIOS, VM_COUNTS
-    from repro.hostmodel.frequency import PAPER_FREQUENCIES
-    frequencies = kwargs.get("frequencies", PAPER_FREQUENCIES)
-    return [(scenario, frequency, vms, mode)
-            for scenario in SCENARIOS
-            for frequency in frequencies
-            for vms in VM_COUNTS
-            for mode in MODES]
-
-
-def _dfsio_points_single_frequency(kwargs: Dict[str, Any]) -> List[Tuple]:
-    # Figure 13 sweeps scenarios at one frequency with 2 VMs per host.
-    from repro.experiments.dfsio_sweep import MODES, SCENARIOS
-    from repro.hostmodel.frequency import GHZ_2_0
-    frequency = kwargs.get("frequency_hz", GHZ_2_0)
-    return [(scenario, frequency, 2, mode)
-            for scenario in SCENARIOS for mode in MODES]
-
-
-def _dfsio_run_point(point: Tuple, seed: int,
-                     kwargs: Dict[str, Any]) -> Any:
-    # The dfsio cells are seed-free (fully deterministic given the grid);
-    # the derived seed is accepted for interface uniformity.
-    from repro.experiments.dfsio_sweep import run_cell
-    scenario, frequency, vms, mode = point
-    return run_cell(scenario, frequency, vms, mode,
-                    file_bytes=kwargs.get("file_bytes", 32 << 20),
-                    n_files=kwargs.get("n_files", 2))
-
-
-def _dfsio_assemble(results: List[Tuple[Tuple, Any]],
-                    kwargs: Dict[str, Any], build: Callable[..., Any]) -> Any:
-    # Install the worker-computed cells into the sweep memo, then let the
-    # figure builder run serially — every run_cell call is now a cache hit.
-    from repro.experiments import dfsio_sweep
-    file_bytes = kwargs.get("file_bytes", 32 << 20)
-    n_files = kwargs.get("n_files", 2)
-    for (scenario, frequency, vms, mode), cell in results:
-        key = (scenario, frequency, vms, mode, file_bytes, n_files, 1 << 20)
-        dfsio_sweep._cache[key] = cell
-    return build(**kwargs)
-
-
-_DFSIO_FANOUT = Fanout(points=_dfsio_points, run_point=_dfsio_run_point,
-                       assemble=_dfsio_assemble)
-_DFSIO_FANOUT_SINGLE = Fanout(points=_dfsio_points_single_frequency,
-                              run_point=_dfsio_run_point,
-                              assemble=_dfsio_assemble)
-
-
-def _chaos_points(kwargs: Dict[str, Any]) -> List[Tuple]:
-    return [("case", index) for index in range(kwargs.get("cases", 6))]
-
-
-def _chaos_run_point(point: Tuple, seed: int, kwargs: Dict[str, Any]) -> Any:
-    from repro.experiments.chaos_sweep import run_case
-    return run_case(plan_seed=seed,
-                    file_bytes=kwargs.get("file_bytes", 4 << 20),
-                    faults=kwargs.get("faults", 3),
-                    horizon=kwargs.get("horizon", 0.002))
-
-
-def _chaos_assemble(results: List[Tuple[Tuple, Any]],
-                    kwargs: Dict[str, Any], build: Callable[..., Any]) -> Any:
-    from repro.experiments.chaos_sweep import assemble
-    return assemble([case for _, case in results],
-                    file_bytes=kwargs.get("file_bytes", 4 << 20))
-
-
-_CHAOS_FANOUT = Fanout(points=_chaos_points, run_point=_chaos_run_point,
-                       assemble=_chaos_assemble)
-
-
-def _scale_points(kwargs: Dict[str, Any]) -> List[Tuple]:
-    return [(mode, n_clients)
-            for n_clients in kwargs.get("client_counts", (1, 2, 4))
-            for mode in ("vanilla", "vRead")]
-
-
-def _scale_run_point(point: Tuple, seed: int, kwargs: Dict[str, Any]) -> Any:
-    from repro.experiments.scale_clients import _measure
-    mode, n_clients = point
-    return _measure(mode == "vRead", n_clients,
-                    kwargs.get("file_bytes", 16 << 20))
-
-
-def _scale_assemble(results: List[Tuple[Tuple, Any]],
-                    kwargs: Dict[str, Any], build: Callable[..., Any]) -> Any:
-    from repro.experiments.scale_clients import assemble
-    values = {point: mbps for point, mbps in results}
-    return assemble(values,
-                    client_counts=kwargs.get("client_counts", (1, 2, 4)),
-                    file_bytes=kwargs.get("file_bytes", 16 << 20))
-
-
-_SCALE_FANOUT = Fanout(points=_scale_points, run_point=_scale_run_point,
-                       assemble=_scale_assemble)
-
-
-def _racks_points(kwargs: Dict[str, Any]) -> List[Tuple]:
-    return [(mode, n_racks)
-            for n_racks in kwargs.get("rack_counts", (1, 2, 3))
-            for mode in ("vanilla", "vRead")]
-
-
-def _racks_run_point(point: Tuple, seed: int, kwargs: Dict[str, Any]) -> Any:
-    from repro.experiments.scale_racks import _measure
-    mode, n_racks = point
-    return _measure(mode == "vRead", n_racks,
-                    kwargs.get("file_bytes", 4 << 20))
-
-
-def _racks_assemble(results: List[Tuple[Tuple, Any]],
-                    kwargs: Dict[str, Any], build: Callable[..., Any]) -> Any:
-    from repro.experiments.scale_racks import assemble
-    values = {point: rack_point for point, rack_point in results}
-    return assemble(values,
-                    rack_counts=kwargs.get("rack_counts", (1, 2, 3)),
-                    file_bytes=kwargs.get("file_bytes", 4 << 20))
-
-
-_RACKS_FANOUT = Fanout(points=_racks_points, run_point=_racks_run_point,
-                       assemble=_racks_assemble)
-
-
-def _churn_points(kwargs: Dict[str, Any]) -> List[Tuple]:
-    from repro.experiments.scale_churn import CHURN_LEVELS, MODES
-    return [(mode, churn) for mode in MODES
-            for churn in kwargs.get("churn_levels", CHURN_LEVELS)]
-
-
-def _churn_run_point(point: Tuple, seed: int, kwargs: Dict[str, Any]) -> Any:
-    from repro.experiments.scale_churn import _measure
-    mode, churn = point
-    return _measure(mode == "vRead", churn,
-                    kwargs.get("file_bytes", 2 << 20),
-                    kwargs.get("duration", 2.0), seed)
-
-
-def _churn_assemble(results: List[Tuple[Tuple, Any]],
-                    kwargs: Dict[str, Any], build: Callable[..., Any]) -> Any:
-    from repro.experiments.scale_churn import CHURN_LEVELS, assemble
-    values = {point: churn_point for point, churn_point in results}
-    return assemble(values,
-                    churn_levels=kwargs.get("churn_levels", CHURN_LEVELS),
-                    file_bytes=kwargs.get("file_bytes", 2 << 20),
-                    duration=kwargs.get("duration", 2.0))
-
-
-_CHURN_FANOUT = Fanout(points=_churn_points, run_point=_churn_run_point,
-                       assemble=_churn_assemble)
-
-
-def _load_sweep_points(kwargs: Dict[str, Any]) -> List[Tuple]:
-    from repro.experiments.load_sweep import HEALTH, MODES
-    return [(mode, health, rate)
-            for mode in MODES for health in HEALTH
-            for rate in kwargs.get("rates", (20.0, 60.0, 120.0))]
-
-
-def _load_sweep_run_point(point: Tuple, seed: int,
-                          kwargs: Dict[str, Any]) -> Any:
-    from repro.experiments.load_sweep import _measure
-    mode, health, rate = point
-    return _measure(mode == "vRead", health == "chaos", rate, seed,
-                    kwargs.get("duration", 2.5),
-                    kwargs.get("n_tenants", 2),
-                    kwargs.get("request_bytes", 256 << 10),
-                    kwargs.get("deadline_ms", 2.0) * 1e-3,
-                    kwargs.get("arrival_kind", "bursty"))
-
-
-def _load_sweep_assemble(results: List[Tuple[Tuple, Any]],
-                         kwargs: Dict[str, Any],
-                         build: Callable[..., Any]) -> Any:
-    from repro.experiments.load_sweep import assemble
-    return assemble({point: report for point, report in results}, **kwargs)
-
-
-_LOAD_SWEEP_FANOUT = Fanout(points=_load_sweep_points,
-                            run_point=_load_sweep_run_point,
-                            assemble=_load_sweep_assemble)
-
-
-def _tenants_points(kwargs: Dict[str, Any]) -> List[Tuple]:
-    from repro.experiments.scale_tenants import MODES
-    return [(mode, n_tenants)
-            for mode in MODES
-            for n_tenants in kwargs.get("tenant_counts", (1, 2, 4))]
-
-
-def _tenants_run_point(point: Tuple, seed: int,
-                       kwargs: Dict[str, Any]) -> Any:
-    from repro.experiments.scale_tenants import _measure
-    mode, n_tenants = point
-    return _measure(mode == "vRead", n_tenants, seed,
-                    kwargs.get("duration", 2.5),
-                    kwargs.get("rate", 40.0),
-                    kwargs.get("request_bytes", 256 << 10),
-                    kwargs.get("deadline_ms", 2.0) * 1e-3,
-                    kwargs.get("arrival_kind", "bursty"))
-
-
-def _tenants_assemble(results: List[Tuple[Tuple, Any]],
-                      kwargs: Dict[str, Any],
-                      build: Callable[..., Any]) -> Any:
-    from repro.experiments.scale_tenants import assemble
-    return assemble({point: report for point, report in results}, **kwargs)
-
-
-_TENANTS_FANOUT = Fanout(points=_tenants_points,
-                         run_point=_tenants_run_point,
-                         assemble=_tenants_assemble)
-
-
-def _tiers_points(kwargs: Dict[str, Any]) -> List[Tuple]:
-    from repro.experiments.ablation_storage_tiers import MODES, TIERS
-    return [(tier, mode) for tier in TIERS for mode in MODES]
-
-
-def _tiers_run_point(point: Tuple, seed: int, kwargs: Dict[str, Any]) -> Any:
-    # Tier cells are seed-free (fully deterministic given the grid); the
-    # derived seed is accepted for interface uniformity.
-    from repro.experiments.ablation_storage_tiers import run_cell
-    tier, mode = point
-    return run_cell(tier, mode, kwargs.get("file_bytes", 32 << 20))
-
-
-def _tiers_assemble(results: List[Tuple[Tuple, Any]],
-                    kwargs: Dict[str, Any], build: Callable[..., Any]) -> Any:
-    from repro.experiments import ablation_storage_tiers
-    file_bytes = kwargs.get("file_bytes", 32 << 20)
-    for (tier, mode), cell in results:
-        ablation_storage_tiers._cache[(tier, mode, file_bytes)] = cell
-    return build(**kwargs)
-
-
-_TIERS_FANOUT = Fanout(points=_tiers_points, run_point=_tiers_run_point,
-                       assemble=_tiers_assemble)
 
 
 # ------------------------------------------------------------------- headlines
@@ -459,7 +205,7 @@ register(ExperimentSpec(
     title="TestDFSIO throughput (6 panels x 3 frequencies)",
     module="fig11_dfsio_throughput",
     params=lambda p: {"file_bytes": _sizes(p)["file_bytes"]},
-    fanout=_DFSIO_FANOUT,
+    sweep=True,
     headline=_headline_fig11))
 
 register(ExperimentSpec(
@@ -467,7 +213,7 @@ register(ExperimentSpec(
     title="TestDFSIO CPU running time",
     module="fig12_dfsio_cputime",
     params=lambda p: {"file_bytes": _sizes(p)["file_bytes"]},
-    fanout=_DFSIO_FANOUT,
+    sweep=True,
     headline=_headline_fig12))
 
 register(ExperimentSpec(
@@ -475,7 +221,7 @@ register(ExperimentSpec(
     title="TestDFSIO-write throughput (vRead_update overhead)",
     module="fig13_write_throughput",
     params=lambda p: {"file_bytes": _sizes(p)["file_bytes"]},
-    fanout=_DFSIO_FANOUT_SINGLE))
+    sweep=True))
 
 register(ExperimentSpec(
     name="table2", figure="Table 2",
@@ -536,7 +282,7 @@ register(ExperimentSpec(
     title="HDD / SSD / NVMe device sweep, vanilla vs vRead",
     module="ablation_storage_tiers", group="ablation",
     params=lambda p: {"file_bytes": _sizes(p)["file_bytes"]},
-    fanout=_TIERS_FANOUT,
+    sweep=True,
     headline=_headline_tiers))
 
 register(ExperimentSpec(
@@ -544,7 +290,7 @@ register(ExperimentSpec(
     title="multi-client scale-out (extension)",
     module="scale_clients", group="extension",
     params=lambda p: {"file_bytes": (4 if p == "quick" else 16) * _MB},
-    fanout=_SCALE_FANOUT))
+    sweep=True))
 
 register(ExperimentSpec(
     name="scale-racks", figure="Extension: rack scale-out",
@@ -552,7 +298,7 @@ register(ExperimentSpec(
     module="scale_racks", group="extension",
     params=lambda p: {"rack_counts": (1, 2) if p == "quick" else (1, 2, 3),
                       "file_bytes": (2 if p == "quick" else 4) * _MB},
-    fanout=_RACKS_FANOUT))
+    sweep=True))
 
 
 def _headline_churn(result) -> List[str]:
@@ -575,7 +321,7 @@ register(ExperimentSpec(
                          else ("none", "migrate", "full")),
         "file_bytes": (1 if p == "quick" else 2) * _MB,
         "duration": {"quick": 1.0, "default": 2.0, "paper": 3.0}[p]},
-    fanout=_CHURN_FANOUT,
+    sweep=True,
     headline=_headline_churn))
 
 def _headline_load_sweep(result) -> List[str]:
@@ -604,7 +350,7 @@ register(ExperimentSpec(
         "request_bytes": (128 if p == "quick" else 256) << 10,
         "deadline_ms": 2.0,
         "arrival_kind": "bursty"},
-    fanout=_LOAD_SWEEP_FANOUT,
+    sweep=True,
     headline=_headline_load_sweep))
 
 register(ExperimentSpec(
@@ -618,7 +364,7 @@ register(ExperimentSpec(
         "request_bytes": (128 if p == "quick" else 256) << 10,
         "deadline_ms": 2.0,
         "arrival_kind": "bursty"},
-    fanout=_TENANTS_FANOUT))
+    sweep=True))
 
 register(ExperimentSpec(
     name="chaos-sweep", figure="Extension: chaos sweep",
@@ -626,7 +372,7 @@ register(ExperimentSpec(
     module="chaos_sweep", group="extension",
     params=lambda p: {"cases": 4 if p == "quick" else 6,
                       "file_bytes": (2 if p == "quick" else 4) * _MB},
-    fanout=_CHAOS_FANOUT))
+    sweep=True))
 
 register(ExperimentSpec(
     name="sensitivity", figure="Sensitivity",

@@ -1,10 +1,10 @@
-"""The parallel experiment runner: deterministic sweep fan-out.
+"""The experiment runner: the one path from a registry name to a result.
 
-Sweep-shaped experiments (those whose :class:`~repro.experiments.registry.
-ExperimentSpec` carries a ``fanout``) decompose into independent points,
-each simulating its own cluster.  This module shards those points across
-worker processes with :mod:`multiprocessing` and reassembles the results
-in the serial point order, so ``jobs=1`` and ``jobs=N`` produce
+A sweep (an :class:`~repro.experiments.registry.ExperimentSpec` with
+``sweep=True``) decomposes into independent points, each simulating its
+own cluster.  This module shards those points across worker processes
+with :mod:`multiprocessing` and hands the results to the module's
+``assemble`` in point order, so ``jobs=1`` and ``jobs=N`` produce
 byte-identical output.
 
 Determinism contract:
@@ -14,10 +14,13 @@ Determinism contract:
 * workers receive only ``(experiment name, point, seed, kwargs)`` and
   resolve the spec from the registry in their own interpreter, so results
   depend only on those arguments;
-* results are reassembled in ``Fanout.points`` order (``Pool.map``
-  preserves order), never in completion order.
+* results are assembled in ``points`` order (``Pool.map`` preserves
+  order), never in completion order.
 
-Experiments without a fanout simply run serially via their builder.
+No result outlives its run unless the caller keeps it: ``cells`` is an
+explicit table of measured points that several runs may share (``repro
+run all`` passes one per report, so Figs 11-13 measure each TestDFSIO
+cell once).  Experiments that are not sweeps run their builder serially.
 """
 
 from __future__ import annotations
@@ -44,34 +47,44 @@ def derive_seed(root_seed: int, point: Any) -> int:
 def _worker(task) -> Any:
     """Measure one sweep point (runs inside a worker process)."""
     name, point, seed, kwargs = task
-    spec = registry.get(name)
-    return spec.fanout.run_point(point, seed, dict(kwargs))
+    return registry.get(name).fanout.run_point(point, seed, **kwargs)
 
 
 def run_experiment(name: str, profile: str = "default", jobs: int = 1,
                    seed: int = 0,
-                   params: Optional[Dict[str, Any]] = None) -> Any:
+                   params: Optional[Dict[str, Any]] = None,
+                   cells: Optional[Dict[Any, Any]] = None) -> Any:
     """Run one registered experiment; fan sweep points out over ``jobs``.
 
     ``params`` overrides the profile's parameter grid entirely when given.
-    Experiments without a registered fan-out ignore ``jobs`` and ``seed``.
+    Experiments that are not sweeps ignore ``jobs``, ``seed`` and
+    ``cells``.  ``cells`` is a table of measured points: a point is taken
+    from it when the same ``run_point`` measured it with the same seed and
+    parameters, and every point measured here is added to it.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     spec = registry.get(name)
     kwargs = dict(spec.params(profile)) if params is None else dict(params)
-    build = spec.resolve()
-    if spec.fanout is None:
-        return build(**kwargs)
-    points = spec.fanout.points(kwargs)
-    tasks = [(name, point, derive_seed(seed, point), kwargs)
-             for point in points]
+    sweep = spec.fanout
+    if sweep is None:
+        return spec.resolve()(**kwargs)
+    if cells is None:
+        cells = {}
+    scope = (sweep.run_point, repr(sorted(kwargs.items())))
+    keys = {point: (scope, point, derive_seed(seed, point))
+            for point in sweep.points(**kwargs)}
+    tasks = [(name, point, key[2], kwargs)
+             for point, key in keys.items() if key not in cells]
     if jobs == 1 or len(tasks) <= 1:
         outputs = [_worker(task) for task in tasks]
     else:
         with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
             outputs = pool.map(_worker, tasks)
-    return spec.fanout.assemble(list(zip(points, outputs)), kwargs, build)
+    for (_, point, _, _), output in zip(tasks, outputs):
+        cells[keys[point]] = output
+    return sweep.assemble({point: cells[key] for point, key in keys.items()},
+                          **kwargs)
 
 
 # ----------------------------------------------------------------- JSON export

@@ -214,6 +214,19 @@ def _measure(vread: bool, churn: str, file_bytes: int, duration: float,
     )
 
 
+def points(churn_levels: Sequence[str] = CHURN_LEVELS,
+           **_ignored) -> List[Tuple[str, str]]:
+    """Every (mode, churn level) point."""
+    return [(mode, churn) for mode in MODES for churn in churn_levels]
+
+
+def run_point(point: Tuple[str, str], seed: int, file_bytes: int = 2 << 20,
+              duration: float = 2.0, **_ignored) -> ChurnPoint:
+    """Measure one point on a cluster seeded with the derived seed."""
+    mode, churn = point
+    return _measure(mode == "vRead", churn, file_bytes, duration, seed)
+
+
 def assemble(values: Dict[Tuple[str, str], ChurnPoint],
              churn_levels: Sequence[str] = CHURN_LEVELS,
              file_bytes: int = 2 << 20,
@@ -243,14 +256,3 @@ def assemble(values: Dict[Tuple[str, str], ChurnPoint],
                f"{worst.rebalance_moves} rebalance moves; membership "
                f"version {worst.membership_version}"),
     )
-
-
-def run(churn_levels: Sequence[str] = CHURN_LEVELS,
-        file_bytes: int = 2 << 20, duration: float = 2.0,
-        seed: int = 0) -> FigureResult:
-    """Run the sweep; see the module docstring for the setup."""
-    values = {(mode, churn): _measure(mode == "vRead", churn, file_bytes,
-                                      duration, seed)
-              for mode in MODES for churn in churn_levels}
-    return assemble(values, churn_levels=churn_levels,
-                    file_bytes=file_bytes, duration=duration)

@@ -10,7 +10,6 @@ diverge with client count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster import VirtualHadoopCluster, paper_fig10
@@ -54,6 +53,20 @@ def _measure(vread: bool, n_clients: int, file_bytes: int) -> float:
     return n_clients * file_bytes / 1e6 / elapsed
 
 
+def points(client_counts: Sequence[int] = (1, 2, 4),
+           **_ignored) -> List[Tuple[str, int]]:
+    """Every (mode, client count) point."""
+    return [(mode, n_clients) for n_clients in client_counts
+            for mode in ("vanilla", "vRead")]
+
+
+def run_point(point: Tuple[str, int], seed: int, file_bytes: int = 16 << 20,
+              **_ignored) -> float:
+    """Measure one point; the run is deterministic, so the seed is unused."""
+    mode, n_clients = point
+    return _measure(mode == "vRead", n_clients, file_bytes)
+
+
 def assemble(values: Dict[Tuple[str, int], float],
              client_counts: Sequence[int] = (1, 2, 4),
              file_bytes: int = 16 << 20) -> FigureResult:
@@ -71,12 +84,3 @@ def assemble(values: Dict[Tuple[str, int], float],
         unit="MBps",
         notes=f"{file_bytes >> 20}MB per client, quad-core host @2.0GHz",
     )
-
-
-def run(client_counts: Sequence[int] = (1, 2, 4),
-        file_bytes: int = 16 << 20) -> FigureResult:
-    """Run the experiment; see the module docstring for the setup."""
-    values = {(mode, n): _measure(mode == "vRead", n, file_bytes)
-              for n in client_counts for mode in ("vanilla", "vRead")}
-    return assemble(values, client_counts=client_counts,
-                    file_bytes=file_bytes)

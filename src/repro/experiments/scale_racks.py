@@ -93,6 +93,21 @@ def _measure(vread: bool, n_racks: int, file_bytes: int,
             cluster.fault_counters.total("placement.cross-rack")))
 
 
+def points(rack_counts: Sequence[int] = (1, 2, 3),
+           **_ignored) -> List[Tuple[str, int]]:
+    """Every (mode, rack count) point."""
+    return [(mode, n_racks) for n_racks in rack_counts
+            for mode in ("vanilla", "vRead")]
+
+
+def run_point(point: Tuple[str, int], seed: int, file_bytes: int = 4 << 20,
+              **_ignored) -> RackPoint:
+    """Measure one point; placement is deterministic, so the seed is
+    unused."""
+    mode, n_racks = point
+    return _measure(mode == "vRead", n_racks, file_bytes)
+
+
 def assemble(values: Dict[Tuple[str, int], RackPoint],
              rack_counts: Sequence[int] = (1, 2, 3),
              file_bytes: int = 4 << 20) -> FigureResult:
@@ -117,11 +132,3 @@ def assemble(values: Dict[Tuple[str, int], RackPoint],
                f"({widest.cross_rack_blocks} cross-rack blocks at "
                f"{max(rack_counts)} racks; vRead MB/s {per_rack})"),
     )
-
-
-def run(rack_counts: Sequence[int] = (1, 2, 3),
-        file_bytes: int = 4 << 20) -> FigureResult:
-    """Run the sweep; see the module docstring for the setup."""
-    values = {(mode, n): _measure(mode == "vRead", n, file_bytes)
-              for n in rack_counts for mode in ("vanilla", "vRead")}
-    return assemble(values, rack_counts=rack_counts, file_bytes=file_bytes)

@@ -14,7 +14,7 @@ in the ``load-sweep`` experiment).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster import VirtualHadoopCluster, paper_fig10
 from repro.experiments.load_sweep import LoadSweepResult, _key
@@ -44,6 +44,23 @@ def _measure(vread: bool, n_tenants: int, seed: int, duration: float,
         title=f"{mode} with {n_tenants} tenants @ {rate:g} req/s each")
 
 
+def points(tenant_counts: Sequence[int] = (1, 2, 4),
+           **_ignored) -> List[Tuple[str, int]]:
+    """Every (mode, tenant count) point."""
+    return [(mode, n_tenants)
+            for mode in MODES for n_tenants in tenant_counts]
+
+
+def run_point(point: Tuple[str, int], seed: int, duration: float = 2.5,
+              rate: float = 40.0, request_bytes: int = 256 << 10,
+              deadline_ms: float = 2.0, arrival_kind: str = "bursty",
+              **_ignored) -> SloReport:
+    """Measure one point with the derived seed."""
+    mode, n_tenants = point
+    return _measure(mode == "vRead", n_tenants, seed, duration, rate,
+                    request_bytes, deadline_ms * 1e-3, arrival_kind)
+
+
 def assemble(values: Dict[Tuple[str, int], SloReport],
              tenant_counts: Sequence[int] = (1, 2, 4),
              rate: float = 40.0, duration: float = 2.5,
@@ -59,22 +76,3 @@ def assemble(values: Dict[Tuple[str, int], SloReport],
                  for mode in MODES for n in tenant_counts},
         notes=(f"{rate:g} req/s/tenant, {arrival_kind} arrivals, "
                f"{duration:g}s window, {deadline_ms:g}ms deadline"))
-
-
-def run(tenant_counts: Sequence[int] = (1, 2, 4), rate: float = 40.0,
-        duration: float = 2.5, request_bytes: int = 256 << 10,
-        deadline_ms: float = 2.0, arrival_kind: str = "bursty",
-        seed: int = 0) -> LoadSweepResult:
-    """Run the sweep serially (the registry fan-out parallelizes this)."""
-    from repro.experiments.runner import derive_seed
-    values = {}
-    for mode in MODES:
-        for n_tenants in tenant_counts:
-            point = (mode, n_tenants)
-            values[point] = _measure(
-                mode == "vRead", n_tenants, derive_seed(seed, point),
-                duration, rate, request_bytes, deadline_ms * 1e-3,
-                arrival_kind)
-    return assemble(values, tenant_counts=tenant_counts, rate=rate,
-                    duration=duration, deadline_ms=deadline_ms,
-                    arrival_kind=arrival_kind)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments import registry, runner
 from repro.experiments.load_sweep import LoadSweepResult
-from repro.experiments.load_sweep import run as run_load_sweep
 
 TINY_SWEEP = {"rates": (30.0,), "duration": 0.8, "n_tenants": 2,
               "request_bytes": 64 << 10, "deadline_ms": 2.0,
@@ -42,15 +41,6 @@ def test_scale_tenants_jobs_byte_identical():
     assert serial.digest() == parallel.digest()
     assert (runner.canonical_json(serial)
             == runner.canonical_json(parallel))
-
-
-def test_serial_builder_matches_fanout_path():
-    """``run()`` (the plain builder) derives the same per-point seeds."""
-    via_fanout = runner.run_experiment("load-sweep", jobs=1, seed=11,
-                                       params=dict(TINY_SWEEP))
-    via_builder = run_load_sweep(seed=11, **TINY_SWEEP)
-    assert (runner.canonical_json(via_builder)
-            == runner.canonical_json(via_fanout))
 
 
 def test_seed_actually_matters():

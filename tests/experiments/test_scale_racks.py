@@ -46,5 +46,5 @@ def test_registry_exposes_scale_racks():
     assert spec.fanout is not None
     params = spec.params("quick")
     assert params["rack_counts"] == (1, 2)
-    points = spec.fanout.points(params)
+    points = spec.fanout.points(**params)
     assert ("vanilla", 1) in points and ("vRead", 2) in points

@@ -45,13 +45,6 @@ def test_no_command_errors():
         main([])
 
 
-def test_every_listed_experiment_has_a_runner():
-    from repro.cli import _runner_for
-
-    for name in EXPERIMENTS:
-        assert callable(_runner_for(name, quick=True))
-
-
 def test_profile_subcommand_runs(capsys, tmp_path):
     out = tmp_path / "prof.json"
     assert main(["profile", "fig03", "--quick", "--top", "3",
@@ -88,8 +81,8 @@ def _stub_report(monkeypatch):
         def render(self):
             return "stub table"
 
-    def run_experiment(name, profile="default", jobs=1, seed=0):
-        calls.append((name, profile, jobs, seed))
+    def run_experiment(name, profile="default", jobs=1, seed=0, cells=None):
+        calls.append((name, profile, jobs, seed, cells))
         return Stub()
 
     real_specs = registry.specs
@@ -105,7 +98,10 @@ def test_run_all_forwards_profile_jobs_and_seed(monkeypatch, capsys):
     assert main(["run", "all", "--quick", "--jobs", "3", "--seed", "5"]) == 0
     expected = [spec.name for spec in specs(("paper",))]
     assert [call[0] for call in calls] == expected
-    assert {call[1:] for call in calls} == {("quick", 3, 5)}
+    assert {call[1:4] for call in calls} == {("quick", 3, 5)}
+    # One cell table for the whole report, handed to every experiment.
+    tables = {id(call[4]) for call in calls}
+    assert len(tables) == 1 and calls[0][4] == {}
     assert capsys.readouterr().out.count("stub table") == len(expected)
 
 
@@ -114,7 +110,7 @@ def test_run_all_ablations_widens_the_report(monkeypatch, capsys):
     assert main(["run", "all", "--paper", "--ablations"]) == 0
     assert [call[0] for call in calls] == [
         spec.name for spec in specs(("paper", "ablation", "extension"))]
-    assert {call[1:] for call in calls} == {("paper", 1, 0)}
+    assert {call[1:4] for call in calls} == {("paper", 1, 0)}
 
 
 def test_run_all_rejects_json_and_ablations_needs_all(capsys, tmp_path):
