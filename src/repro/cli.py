@@ -11,11 +11,10 @@ Commands:
   full paper-comparison report: every experiment of the ``paper`` group
   (plus the ablation and extension studies with ``--ablations``) in
   registry order, each with its host wall time and headline numbers.
-* ``profile <name> [--quick|--paper] [--memory] [--kernel] [--json OUT]``
+* ``profile <name> [--quick|--paper] [--memory] [--json OUT]``
   — run one experiment under the profiling harness (cProfile + kernel
-  counters; see :mod:`repro.perf`) and print the hot functions and
-  events/sec summary.  ``--kernel`` adds the event-heap breakdown
-  (events, cancelled timers discarded, compactions, high water).
+  counters; see :mod:`repro.perf`) and print the hot functions and the
+  events/sec, cancelled-timer and heap high-water summary.
 * ``demo`` — the quickstart: vanilla vs vRead on one file, verified.
 
 The experiment table itself lives in :mod:`repro.experiments.registry`;
@@ -108,7 +107,7 @@ def cmd_profile(args) -> int:
         return 2
     report = profiler.profile_experiment(
         args.experiment, profile=_profile(args), seed=args.seed,
-        top=args.top, memory=args.memory, kernel_breakdown=args.kernel)
+        top=args.top, memory=args.memory)
     print(report.render())
     if args.json:
         profiler.write_json(report, args.json)
@@ -190,10 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser_prof.add_argument("--memory", action="store_true",
                              help="also trace allocations (tracemalloc; "
                                   "slower)")
-    parser_prof.add_argument("--kernel", action="store_true",
-                             help="also break down the event heap "
-                                  "(events, cancelled discarded, "
-                                  "compactions, high water)")
     parser_prof.add_argument("--json", metavar="OUT",
                              help="also write the report as JSON to OUT")
     parser_prof.set_defaults(func=cmd_profile)

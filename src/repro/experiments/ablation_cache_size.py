@@ -14,7 +14,6 @@ from typing import Dict, Sequence
 
 from repro.cluster import VirtualHadoopCluster
 from repro.experiments.common import load_dataset
-from repro.hostmodel.costs import CostModel
 from repro.metrics.report import Table
 from repro.storage.content import PatternSource
 

@@ -10,7 +10,7 @@ ring serialize the daemon and the guest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.cluster import VirtualHadoopCluster
 from repro.experiments.common import load_dataset

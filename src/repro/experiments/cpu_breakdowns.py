@@ -18,7 +18,6 @@ threads for vRead).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
 
 from repro.cluster import VirtualHadoopCluster
 from repro.experiments.common import (

@@ -11,7 +11,7 @@ improvement stays positive under every perturbation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.cluster import VirtualHadoopCluster
 from repro.experiments.common import load_dataset

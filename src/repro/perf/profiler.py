@@ -41,7 +41,6 @@ class ProfileReport:
         default_factory=list)          # (location, calls, tottime, cumtime)
     peak_traced_mb: Optional[float] = None    # tracemalloc high-water
     trace_top: List[Tuple[str, float]] = field(default_factory=list)
-    kernel_breakdown: bool = False     # render the heap counters (--kernel)
 
     @property
     def events_per_second(self) -> float:
@@ -91,15 +90,6 @@ class ProfileReport:
         ]
         if self.peak_traced_mb is not None:
             lines.append(f"  peak traced heap   {self.peak_traced_mb:10.1f} MB")
-        if self.kernel_breakdown:
-            lines += [
-                "",
-                "  kernel breakdown:",
-                f"    events              {k.get('events_processed', 0):10d}",
-                f"    cancelled discarded {k.get('cancelled_discarded', 0):10d}",
-                f"    compactions         {k.get('compactions', 0):10d}",
-                f"    heap high water     {k.get('heap_high_water', 0):10d}",
-            ]
         lines += ["", "  hottest functions (by internal time):"]
         width = max((len(where) for where, *_ in self.top_functions),
                     default=10)
@@ -123,16 +113,12 @@ def _shorten(path: str) -> str:
 
 def profile_experiment(experiment: str, profile: str = "quick",
                        seed: int = 0, top: int = 15,
-                       memory: bool = False,
-                       kernel_breakdown: bool = False) -> ProfileReport:
+                       memory: bool = False) -> ProfileReport:
     """Run ``experiment`` under cProfile and return a :class:`ProfileReport`.
 
     ``memory=True`` additionally enables tracemalloc (slower: every
     allocation is traced) and reports the peak traced heap plus the
-    largest allocation sites.  ``kernel_breakdown=True`` additionally
-    renders the event heap's counters (events, cancelled timers
-    discarded, compactions, high water), so a regression in the kernel
-    shows up as counter drift, not just wall time.
+    largest allocation sites.
     """
     from repro.experiments import runner
 
@@ -178,8 +164,7 @@ def profile_experiment(experiment: str, profile: str = "quick",
     return ProfileReport(experiment=experiment, profile=profile,
                          wall_seconds=wall, kernel=kernel,
                          top_functions=top_functions,
-                         peak_traced_mb=peak_mb, trace_top=trace_top,
-                         kernel_breakdown=kernel_breakdown)
+                         peak_traced_mb=peak_mb, trace_top=trace_top)
 
 
 def write_json(report: ProfileReport, path: str) -> None:

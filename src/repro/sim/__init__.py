@@ -36,7 +36,6 @@ from repro.sim.process import Process
 from repro.sim.resources import (
     Container,
     Lock,
-    PriorityResource,
     Request,
     Resource,
     Store,
@@ -51,7 +50,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "Lock",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Request",

@@ -21,7 +21,7 @@ the offending processes.  See :mod:`repro.sim.sanitizer`.
 
 The loop also keeps cheap occupancy statistics (events processed, cancelled
 timers discarded, pending high-water mark, compactions) that the profiling
-harness (``python -m repro profile --kernel``) reads via
+harness (``python -m repro profile``) reads via
 :func:`kernel_stats`.
 """
 

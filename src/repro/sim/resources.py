@@ -1,14 +1,13 @@
 """Shared resources: capacity-limited resources, stores, locks, containers.
 
 These follow SimPy's request/release idiom but are trimmed to what the
-vRead simulation needs.  All waiters are served FIFO (or by priority for
-:class:`PriorityResource`), which keeps the simulation deterministic.
+vRead simulation needs.  All waiters are served FIFO, which keeps the
+simulation deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
 from typing import Any, Deque, Iterable, List, Optional
 
 from repro.sim.events import Event, SimulationError
@@ -125,62 +124,6 @@ class Resource:
         label = f" {self.name!r}" if self.name else ""
         return (f"<{type(self).__name__}{label} capacity={self.capacity} "
                 f"held={self.count} queued={self.queue_length}>")
-
-
-class PriorityResource(Resource):
-    """A resource whose waiters are served lowest-priority-value first."""
-
-    def __init__(self, sim: "Simulator", capacity: int = 1,  # noqa: F821
-                 name: Optional[str] = None):
-        super().__init__(sim, capacity, name=name)
-        self._pqueue: list = []
-        self._pseq = 0
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._pqueue)
-
-    def request(self, priority: int = 0) -> Request:
-        req = Request(self)
-        sanitizer = self.sim.sanitizer
-        if sanitizer is not None:
-            sanitizer.note_lock_request(self, req)
-        if len(self._users) < self.capacity:
-            self._users.append(req)
-            if sanitizer is not None:
-                sanitizer.note_lock_acquired(self, req)
-            req.succeed(req)
-        else:
-            self._pseq += 1
-            heappush(self._pqueue, (priority, self._pseq, req))
-        return req
-
-    def release(self, request: Request) -> None:
-        try:
-            self._users.remove(request)
-        except ValueError:
-            raise SimulationError("releasing a request that holds no slot")
-        sanitizer = self.sim.sanitizer
-        if sanitizer is not None:
-            sanitizer.note_lock_released(self, request)
-        if self._pqueue:
-            _, _, nxt = heappop(self._pqueue)
-            self._users.append(nxt)
-            if sanitizer is not None:
-                sanitizer.note_lock_acquired(self, nxt)
-            nxt.succeed(nxt)
-
-    def cancel(self, request: Request) -> None:
-        """Withdraw a queued (not yet granted) request."""
-        for index, (_, _, queued) in enumerate(self._pqueue):
-            if queued is request:
-                del self._pqueue[index]
-                heapify(self._pqueue)
-                return
-        raise SimulationError("cancelling a request that is not queued")
-
-    def queued_requests(self) -> Iterable[Request]:
-        return tuple(request for _, _, request in self._pqueue)
 
 
 class Lock:

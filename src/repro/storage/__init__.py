@@ -39,7 +39,6 @@ from repro.storage.device import (
     resolve_profile,
 )
 from repro.storage.filesystem import (
-    FileHandle,
     FileSystem,
     FsError,
     Inode,
@@ -54,7 +53,6 @@ __all__ = [
     "DeviceProfile",
     "DiskError",
     "DiskImage",
-    "FileHandle",
     "FileSystem",
     "FsError",
     "HDD_PROFILE",

@@ -9,20 +9,10 @@ materialized.  :meth:`ByteSource.same_bytes` verifies a read against its
 written payload without synthesizing either when both are one window of
 one store.
 
-Two access styles exist on every source:
-
-* :meth:`ByteSource.read` — returns ``bytes`` (the historical API);
-* :meth:`ByteSource.readinto` — fills a caller-supplied buffer
-  (``bytearray``/``memoryview``) and returns the byte count.
-
-``readinto`` is the zero-copy data plane: a 64 MB block moves through the
-host Python process with one buffer allocation instead of a
-join-and-reslice per hop, and :meth:`ByteSource.checksum` streams through a
-single reusable buffer (the incremental checksum).  The *simulated* copy
-costs are untouched — they are the paper's subject; this is purely about
-the wall-clock of the simulator process.
-
-Each operation has one implementation.  The tests check ``read``,
+Every source has one read path, :meth:`ByteSource.read`, and
+:meth:`ByteSource.checksum` is the SHA-256 of what it returns.  How the
+host process moves these bytes is not modelled: the simulated copy costs
+are charged by the layers that move them.  The tests check ``read``,
 ``checksum`` and ``same_bytes`` against an oracle that rebuilds every
 source's bytes from its definition (``tests/oracles.py``).
 """
@@ -30,46 +20,43 @@ source's bytes from its definition (``tests/oracles.py``).
 from __future__ import annotations
 
 import hashlib
-from typing import Union
+from typing import Sequence, Union
 
-#: Streaming granularity for checksums and fallback readinto paths.
+#: Streaming granularity for checksums.
 _CHUNK = 1 << 20
+
+
+def read_parts(parts: Sequence["ByteSource"], offset: int,
+               length: int) -> bytes:
+    """Bytes at [offset, offset+length) of the concatenation of ``parts``.
+
+    The caller clamps the range to the parts' total size.
+    """
+    out = []
+    end = offset + length
+    pos = 0
+    for part in parts:
+        if pos >= end:
+            break
+        part_end = pos + part.size
+        if part_end > offset:
+            start = max(offset, pos)
+            out.append(part.read(start - pos, min(end, part_end) - start))
+        pos = part_end
+    return b"".join(out)
+
 
 class ByteSource:
     """Abstract offset-addressable byte content."""
-
-    #: True when the bytes can change after creation (the source resolves
-    #: through a live file inode); such sources never memoize a digest.
-    _live = False
 
     def __init__(self, size: int):
         if size < 0:
             raise ValueError(f"negative size {size}")
         self.size = size
-        #: Memoized full-content checksum (immutable sources only).
-        self._checksum_hex = None
 
     def read(self, offset: int, length: int) -> bytes:
         """Bytes at [offset, offset+length), clamped to the source size."""
-        n = self._clamp(offset, length)
-        if n == 0:
-            return b""
-        buf = bytearray(n)
-        self.readinto(offset, buf)
-        return bytes(buf)
-
-    def readinto(self, offset: int, buf) -> int:
-        """Fill ``buf`` with bytes at [offset, offset+len(buf)).
-
-        Returns the number of bytes written (clamped at the source size).
-        Subclasses override this with a no-intermediate-allocation
-        implementation; the base fallback goes through :meth:`read`.
-        """
-        view = memoryview(buf)
-        n = self._clamp(offset, len(view))
-        if n:
-            view[:n] = self.read(offset, n)
-        return n
+        raise NotImplementedError
 
     def _clamp(self, offset: int, length: int) -> int:
         if offset < 0 or length < 0:
@@ -89,32 +76,11 @@ class ByteSource:
         return (self, 0)
 
     def checksum(self, chunk: int = _CHUNK) -> str:
-        """SHA-256 of the whole content (streamed; safe for lazy sources).
-
-        One rule: a source that resolves to a whole store returns that
-        store's memoized digest (the stored block checksum HDFS verifies
-        against instead of re-hashing); any other source streams through
-        one reusable buffer, and memoizes the result unless its bytes can
-        change.
-        """
-        if self._checksum_hex is not None:
-            return self._checksum_hex
-        store, start = self._view_key()
-        if store is not self and start == 0 and store.size == self.size \
-                and isinstance(store, ByteSource):
-            return store.checksum(chunk)
+        """SHA-256 of the whole content, read ``chunk`` bytes at a time."""
         digest = hashlib.sha256()
-        buf = bytearray(min(chunk, max(1, self.size)))
-        view = memoryview(buf)
-        offset = 0
-        while offset < self.size:
-            n = self.readinto(offset, view[:min(chunk, self.size - offset)])
-            digest.update(view[:n])
-            offset += n
-        if self._live:
-            return digest.hexdigest()
-        self._checksum_hex = digest.hexdigest()
-        return self._checksum_hex
+        for offset in range(0, self.size, chunk):
+            digest.update(self.read(offset, chunk))
+        return digest.hexdigest()
 
     def same_bytes(self, other: "ByteSource") -> bool:
         """True when ``self`` and ``other`` hold the same bytes now.
@@ -122,7 +88,7 @@ class ByteSource:
         The identity rule: two sources that resolve to the same window of
         one store (compared with ``is``, at call time) are equal without
         reading or hashing a byte.  Sources of different sizes are unequal;
-        any other pair compares their checksums, which a store memoizes.
+        any other pair compares their checksums.
         """
         if self.size != other.size:
             return False
@@ -143,12 +109,6 @@ class LiteralSource(ByteSource):
     def read(self, offset: int, length: int) -> bytes:
         n = self._clamp(offset, length)
         return self._data[offset:offset + n]
-
-    def readinto(self, offset: int, buf) -> int:
-        view = memoryview(buf)
-        n = self._clamp(offset, len(view))
-        view[:n] = memoryview(self._data)[offset:offset + n]
-        return n
 
     @property
     def data(self) -> bytes:
@@ -172,82 +132,25 @@ class PatternSource(ByteSource):
         self.seed = seed
         self._prefix = f"pattern:{seed}:".encode()
 
-    def readinto(self, offset: int, buf) -> int:
-        view = memoryview(buf)
-        n = self._clamp(offset, len(view))
+    def read(self, offset: int, length: int) -> bytes:
+        n = self._clamp(offset, length)
         if n == 0:
-            return 0
-        return self._synthesize(offset, view[:n])
-
-    def _synthesize(self, offset: int, view) -> int:
-        """Generate bytes at [offset, offset+len(view)) into ``view``."""
-        n = len(view)
+            return b""
         sha = hashlib.sha256
         prefix = self._prefix
-        block_size = self._BLOCK
-        index = offset // block_size
-        skip = offset - index * block_size
-        pos = 0
-        if skip:
-            # Leading partial block.
-            block = sha(prefix + b"%d" % index).digest()
-            take = min(block_size - skip, n)
-            view[:take] = block[skip:skip + take]
-            pos = take
-            index += 1
-        whole = (n - pos) // block_size
-        if whole:
-            # Bulk of the range: C-speed join of whole digests, one copy.
-            end = pos + whole * block_size
-            view[pos:end] = b"".join(
-                sha(prefix + b"%d" % i).digest()
-                for i in range(index, index + whole))
-            pos = end
-            index += whole
-        if pos < n:
-            # Trailing partial block.
-            view[pos:n] = sha(prefix + b"%d" % index).digest()[:n - pos]
-        return n
-
-    def checksum(self, chunk: int = _CHUNK) -> str:
-        """Stream digests straight into the checksum (no staging buffer)."""
-        if self._checksum_hex is not None:
-            return self._checksum_hex
-        digest = hashlib.sha256()
-        sha = hashlib.sha256
-        prefix = self._prefix
-        blocks_per_chunk = max(1, chunk // self._BLOCK)
-        full_blocks = self.size // self._BLOCK
-        for start in range(0, full_blocks, blocks_per_chunk):
-            stop = min(start + blocks_per_chunk, full_blocks)
-            digest.update(b"".join(sha(prefix + b"%d" % i).digest()
-                                   for i in range(start, stop)))
-        remainder = self.size - full_blocks * self._BLOCK
-        if remainder:
-            digest.update(
-                sha(prefix + b"%d" % full_blocks).digest()[:remainder])
-        self._checksum_hex = digest.hexdigest()
-        return self._checksum_hex
+        first = offset // self._BLOCK
+        last = (offset + n - 1) // self._BLOCK
+        blocks = b"".join(sha(prefix + b"%d" % i).digest()
+                          for i in range(first, last + 1))
+        skip = offset - first * self._BLOCK
+        return blocks[skip:skip + n]
 
 
 class ZeroSource(ByteSource):
     """All-zero content (sparse files, quick benchmark filler)."""
 
-    _ZEROS = bytes(_CHUNK)
-
     def read(self, offset: int, length: int) -> bytes:
-        return b"\x00" * self._clamp(offset, length)
-
-    def readinto(self, offset: int, buf) -> int:
-        view = memoryview(buf)
-        n = self._clamp(offset, len(view))
-        zeros = self._ZEROS
-        pos = 0
-        while pos < n:
-            take = min(len(zeros), n - pos)
-            view[pos:pos + take] = zeros[:take]
-            pos += take
-        return n
+        return bytes(self._clamp(offset, length))
 
 
 class ConcatSource(ByteSource):
@@ -257,28 +160,9 @@ class ConcatSource(ByteSource):
         parts = [p for p in parts if p.size > 0]
         super().__init__(sum(p.size for p in parts))
         self._parts = parts
-        self._live = any(p._live for p in parts)
 
-    def readinto(self, offset: int, buf) -> int:
-        view = memoryview(buf)
-        n = self._clamp(offset, len(view))
-        if n == 0:
-            return 0
-        written = 0
-        pos = 0
-        cursor = offset
-        for part in self._parts:
-            if written == n:
-                break
-            part_size = part.size
-            if cursor < pos + part_size:
-                inner = cursor - pos
-                take = min(n - written, part_size - inner)
-                part.readinto(inner, view[written:written + take])
-                cursor += take
-                written += take
-            pos += part_size
-        return n
+    def read(self, offset: int, length: int) -> bytes:
+        return read_parts(self._parts, offset, self._clamp(offset, length))
 
     def _view_key(self):
         # Parts that are adjacent windows of one store (a block streamed
@@ -303,16 +187,10 @@ class SliceSource(ByteSource):
         super().__init__(size)
         self._base = base
         self._offset = offset
-        self._live = base._live
 
     def read(self, offset: int, length: int) -> bytes:
         n = self._clamp(offset, length)
         return self._base.read(self._offset + offset, n)
-
-    def readinto(self, offset: int, buf) -> int:
-        view = memoryview(buf)
-        n = self._clamp(offset, len(view))
-        return self._base.readinto(self._offset + offset, view[:n])
 
     def _view_key(self):
         store, start = self._base._view_key()

@@ -1,15 +1,15 @@
 """Fast paths change host time only, never simulated results.
 
 Each registry experiment below runs twice: with every fast path on
-(coalesced CPU bursts, zero-copy buffers with digest reuse and the
-view-identity rule) and in the reference configuration.  The canonical
+(coalesced CPU bursts and the view-identity rule of ``same_bytes``) and
+in the reference configuration.  The canonical
 JSON must match byte for byte.  Component-level equivalence lives in
 ``tests/properties``; this pins the composition on whole experiments.
 
 The reference is sanitize mode (``REPRO_SANITIZE=1``, read when each
 simulator is built), which runs every CPU burst slice by slice, plus
-``tests.oracles.hashing_plane``, under which every checksum hashes the
-bytes afresh and ``same_bytes`` compares them.  Every simulator an
+``tests.oracles.hashing_plane``, under which ``same_bytes`` compares the
+bytes themselves.  Every simulator an
 experiment builds is checked: the reference runs are all sanitized, the
 fast runs none.
 

@@ -1,14 +1,14 @@
-"""A whole-file verified read reuses the writer's stored digest.
+"""A whole-file verified read resolves to the writer's payload untouched.
 
 HDFS checks a read against the checksum stored with each block instead of
 re-hashing the payload.  The simulator's analogue is
-``ByteSource.checksum`` resolving a read result, through the block files'
-parts, back to the writer's source and returning its memoized digest.
-These tests count the sha256 ``update`` calls ``repro.storage.content``
-issues while a two-block file read is checksummed: none on the vanilla
-path, on vRead, or from a replica re-replicated onto a datanode that
-joined after the write.  The registry's verify sites go one step further
-and synthesize no payload byte at all.
+``ByteSource.same_bytes`` resolving a read result, through the block
+files' parts, to the same window of the writer's source as the payload.
+These tests count the bytes ``PatternSource.read`` synthesizes and the
+sha256 ``update`` calls ``repro.storage.content`` issues while a
+two-block file read is verified: none on the vanilla path, on vRead, or
+from a replica re-replicated onto a datanode that joined after the write.
+The registry's verify sites synthesize no payload byte either.
 """
 
 import hashlib
@@ -38,8 +38,16 @@ def _rereplicate_onto_new_datanode(cluster):
     return fresh
 
 
-def _count_updates(monkeypatch):
-    counter = SimpleNamespace(updates=0)
+def _count_work(monkeypatch):
+    """Count the bytes ``PatternSource.read`` synthesizes and the sha256
+    ``update`` calls ``repro.storage.content`` issues."""
+    counter = SimpleNamespace(synthesized=0, updates=0)
+    read = PatternSource.read
+
+    def counting_read(self, offset, length):
+        data = read(self, offset, length)
+        counter.synthesized += len(data)
+        return data
 
     class CountingSha256:
         def __init__(self, *data):
@@ -52,6 +60,7 @@ def _count_updates(monkeypatch):
         def __getattr__(self, name):
             return getattr(self._digest, name)
 
+    monkeypatch.setattr(PatternSource, "read", counting_read)
     monkeypatch.setattr(content, "hashlib",
                         SimpleNamespace(sha256=CountingSha256))
     return counter
@@ -66,7 +75,6 @@ def test_whole_file_verified_read_hashes_nothing(monkeypatch, vread,
                                    vread=vread,
                                    topology=rack_cluster(1, 2, clients=1))
     payload = PatternSource(2 * BLOCK, seed=5)
-    stored = payload.checksum()  # the writer's digest, taken at write time
     _run(cluster, cluster.write_dataset("/f", payload))
     cluster.settle()
     blocks = cluster.namenode.get_blocks("/f")
@@ -76,13 +84,14 @@ def test_whole_file_verified_read_hashes_nothing(monkeypatch, vread,
         assert all(block.locations == [fresh] for block in blocks)
     client = cluster.clients.get(mode="vread" if vread else "vanilla")
 
-    counter = _count_updates(monkeypatch)
+    counter = _count_work(monkeypatch)
 
     def read():
         source = yield from client.read_file("/f", 64 << 10)
-        return source.checksum()
+        return source.same_bytes(payload)
 
-    assert _run(cluster, read()) == stored
+    assert _run(cluster, read())
+    assert counter.synthesized == 0
     assert counter.updates == 0
 
 
@@ -114,13 +123,6 @@ def test_verified_reads_synthesize_nothing(monkeypatch, run):
     """Every verify site compares the read with its payload by view
     identity (``ByteSource.same_bytes``): both resolve to the same window
     of the writer's ``PatternSource``, so no byte of either is made."""
-    synthesized = SimpleNamespace(bytes=0)
-    synthesize = PatternSource._synthesize
-
-    def counting(self, offset, view):
-        synthesized.bytes += len(view)
-        return synthesize(self, offset, view)
-
-    monkeypatch.setattr(PatternSource, "_synthesize", counting)
+    counter = _count_work(monkeypatch)
     run()
-    assert synthesized.bytes == 0
+    assert counter.synthesized == 0

@@ -3,14 +3,14 @@
 :func:`expected_bytes` rebuilds a source's bytes from its definition —
 a literal's data, a pattern's per-block SHA-256 digests joined and then
 truncated, zeros, the join of concat or inode parts, a window of a slice
-or inode range — without calling the ``read``/``readinto``/``checksum``
-code under test.
+or inode range — without calling the ``read``/``checksum`` code under
+test.
 
-:func:`hashing_plane` swaps the digest shortcuts out for the plain
-definition: ``checksum`` is the SHA-256 of the source's bytes, computed
-afresh on every call (no memo, no store reuse), and ``same_bytes`` is
-"same size and equal bytes" (no view-identity rule).  Whole experiments
-run under it to show that the shortcuts never change a simulated result.
+:func:`hashing_plane` swaps the one content shortcut out for the plain
+definition: ``same_bytes`` is "same size and equal bytes" (no
+view-identity rule).  ``checksum`` needs no swap: it already hashes the
+source's bytes afresh on every call.  Whole experiments run under it to
+show that the shortcut never changes a simulated result.
 """
 
 import contextlib
@@ -76,13 +76,6 @@ def expected_bytes(source, offset=0, length=None):
     raise TypeError(f"no oracle for {type(source).__name__}")
 
 
-def _hashed_checksum(self, chunk=_CHUNK):
-    digest = hashlib.sha256()
-    for offset in range(0, self.size, chunk):
-        digest.update(self.read(offset, chunk))
-    return digest.hexdigest()
-
-
 def _compared_same_bytes(self, other):
     return self.size == other.size and all(
         self.read(offset, _CHUNK) == other.read(offset, _CHUNK)
@@ -91,10 +84,8 @@ def _compared_same_bytes(self, other):
 
 @contextlib.contextmanager
 def hashing_plane():
-    """Within the block, checksums hash the bytes and ``same_bytes``
-    compares them: no digest memo, no store reuse, no identity rule."""
+    """Within the block, ``same_bytes`` compares the bytes: no identity
+    rule."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ByteSource, "checksum", _hashed_checksum)
-        patch.setattr(PatternSource, "checksum", _hashed_checksum)
         patch.setattr(ByteSource, "same_bytes", _compared_same_bytes)
         yield

@@ -1,10 +1,9 @@
-"""Property tests: the zero-copy buffer plane returns the defined bytes.
+"""Property tests: the content sources return the defined bytes.
 
-The content sources and the filesystem read through ``readinto`` into
-reusable buffers, memoize checksums, reuse a store's digest for any view
-that resolves to it, and decide ``same_bytes`` by view identity when they
-can.  These tests drive them with randomized source shapes and random
-offset/length windows — including page- and pattern-block-aligned
+The content sources and the filesystem read ranges across parts and
+windows, hash what they read, and decide ``same_bytes`` by view identity
+when they can.  These tests drive them with randomized source shapes and
+random offset/length windows — including page- and pattern-block-aligned
 boundaries — and require byte-for-byte and digest-for-digest agreement
 with the join-and-slice definition of each source, which
 ``tests.oracles.expected_bytes`` builds without calling the code under
@@ -89,18 +88,6 @@ def test_fast_checksum_equals_legacy_checksum(case, chunk):
     source, _, _ = case
     expected = hashlib.sha256(expected_bytes(source)).hexdigest()
     assert source.checksum(chunk) == expected
-    assert source.checksum(chunk) == expected  # memo stays right
-
-
-@given(case=source_and_window())
-@settings(max_examples=60, deadline=None)
-def test_readinto_matches_read(case):
-    source, offset, length = case
-    expected = source.read(offset, length)
-    buf = bytearray(len(expected))
-    wrote = source.readinto(offset, buf)
-    assert wrote == len(expected)
-    assert bytes(buf) == expected
 
 
 @st.composite
@@ -144,7 +131,7 @@ def test_inode_range_source_window_reads(case):
     assert view.read(0, length) == inode.read(offset, n)
 
 
-# ------------------------------------------------------------- digest reuse
+# ----------------------------------------------------- digests of any layout
 # A layout is a list of steps that build block files and views over them:
 #   ("append", kind, file, store, a, b) appends to file ``file`` (a new one
 #       when the index is past the end): kind "store" is one window of a
@@ -275,8 +262,8 @@ def _play(steps, chunk):
 @given(steps=st.lists(_steps, min_size=1, max_size=12),
        chunk=st.sampled_from([7, PAGE_SIZE, 1 << 20]))
 @settings(max_examples=80, deadline=None)
-# A digest memoized by a view over a live inode went stale once the
-# inode was truncated and re-appended with other bytes.
+# A view over an inode that is truncated and re-appended with other bytes
+# hashes the new bytes.
 @example(steps=[("append", "store", 0, 0, 1, 4),
                 ("append", "store", 0, 1, 1, 4),
                 ("view", "range", 0, 0, 0),

@@ -1,11 +1,10 @@
-"""Unit tests for Resource / PriorityResource / Lock / Store / Container."""
+"""Unit tests for Resource / Lock / Store / Container."""
 
 import pytest
 
 from repro.sim import (
     Container,
     Lock,
-    PriorityResource,
     Resource,
     SimulationError,
     Simulator,
@@ -66,50 +65,6 @@ def test_resource_capacity_validation():
     sim = Simulator()
     with pytest.raises(SimulationError):
         Resource(sim, capacity=0)
-
-
-# -------------------------------------------------------- PriorityResource
-def test_priority_resource_serves_lowest_priority_first():
-    sim = Simulator()
-    resource = PriorityResource(sim, capacity=1)
-    order = []
-
-    def user(tag, priority):
-        req = yield resource.request(priority=priority)
-        order.append(tag)
-        yield sim.timeout(1.0)
-        resource.release(req)
-
-    def spawn():
-        # First user grabs the slot; others queue with differing priorities.
-        sim.process(user("holder", 0))
-        yield sim.timeout(0.1)
-        sim.process(user("low-prio", 5))
-        sim.process(user("high-prio", 1))
-        sim.process(user("mid-prio", 3))
-
-    sim.process(spawn())
-    sim.run()
-    assert order == ["holder", "high-prio", "mid-prio", "low-prio"]
-
-
-def test_priority_ties_are_fifo():
-    sim = Simulator()
-    resource = PriorityResource(sim, capacity=1)
-    order = []
-
-    def user(tag):
-        req = yield resource.request(priority=2)
-        order.append(tag)
-        resource.release(req)
-
-    holder = resource.request()
-    sim.process(user("first"))
-    sim.process(user("second"))
-    sim.run()
-    resource.release(holder)
-    sim.run()
-    assert order == ["first", "second"]
 
 
 # --------------------------------------------------------------------- Lock
