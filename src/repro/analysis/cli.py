@@ -25,7 +25,7 @@ from repro.analysis.cache import AnalysisCache
 from repro.analysis.core import create_rules, registered_rules
 from repro.analysis.emit import render_json, render_sarif, render_text
 from repro.analysis.runner import analyze_paths
-import repro.analysis.rules  # noqa: F401 - imported to register the rules
+import repro.analysis.rules  # simlint: disable=unused-import - registers the rules
 from repro.analysis.rules.wallclock import NoWallclockRule
 from repro.analysis.taint import WHOLE_PROGRAM_RULES
 

@@ -9,7 +9,7 @@ so every hop is clickable in a SARIF viewer.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.core import Violation
 

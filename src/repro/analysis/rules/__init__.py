@@ -10,6 +10,7 @@ from repro.analysis.rules.heap_use import NoDirectHeapqRule
 from repro.analysis.rules.randomness import NoGlobalRandomRule
 from repro.analysis.rules.resource_leak import ResourceLeakRule
 from repro.analysis.rules.topology_literals import NoTopologyLiteralsRule
+from repro.analysis.rules.unused_imports import UnusedImportRule
 from repro.analysis.rules.wallclock import NoWallclockRule
 from repro.analysis.rules.yields import YieldDisciplineRule
 
@@ -19,6 +20,7 @@ __all__ = [
     "NoTopologyLiteralsRule",
     "NoWallclockRule",
     "ResourceLeakRule",
+    "UnusedImportRule",
     "YieldDisciplineRule",
     "default_rules",
 ]

@@ -27,7 +27,6 @@ from repro.cluster.membership import ClusterController
 from repro.cluster.topology import TopologySpec, paper_fig10
 from repro.storage.device import DeviceProfile, resolve_profile
 from repro.core import VReadManager
-from repro.core.integration import VReadDfsClient
 from repro.faults import FaultInjector, FaultPlan
 from repro.hdfs import Datanode, DfsClient, HdfsConfig, Namenode
 from repro.hostmodel import PhysicalHost

@@ -26,8 +26,8 @@ from repro.core.daemon import ReadHeader
 from repro.core.descriptors import VfdHashTable, VReadDescriptor
 from repro.faults.retry import (DeadlineExceeded, VReadClientPolicy,
                                 call_with_deadline)
-from repro.metrics.accounting import CLIENT_APPLICATION, COPY_VREAD_BUFFER, OTHERS
-from repro.storage.content import ByteSource, ConcatSource
+from repro.metrics.accounting import CLIENT_APPLICATION, COPY_VREAD_BUFFER
+from repro.storage.content import ConcatSource
 
 
 class VReadError(Exception):

@@ -22,7 +22,7 @@ crash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.hostmodel.costs import CostModel

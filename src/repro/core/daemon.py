@@ -15,7 +15,7 @@ data copied into the ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Union
 
 from repro.core.channel import ChannelRequest, OpenResult, VReadChannel
 from repro.core.remote import RemoteRequest, RemoteResponse

@@ -15,7 +15,7 @@ Hadoop applications above the client are untouched: they still call
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.api import VReadError, VReadLibrary
 from repro.hdfs.block import Block

@@ -26,13 +26,9 @@ table3    Hive query + Sqoop export
 from repro.experiments.common import (
     BreakdownViews,
     FigureResult,
-    read_file_timed,
-    warm_caches,
 )
 
 __all__ = [
     "BreakdownViews",
     "FigureResult",
-    "read_file_timed",
-    "warm_caches",
 ]

@@ -2,48 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster import VirtualHadoopCluster
 from repro.metrics.accounting import UtilizationBreakdown
 from repro.metrics.report import Table, format_figure_series
-
-
-def _pct(q: float) -> Callable:
-    """Percentile reducer over either stats or raw-sketch sinks."""
-    def reduce(sink):
-        if hasattr(sink, "percentile"):
-            return sink.percentile(q)
-        return sink.quantile(q)
-    return reduce
-
-
-#: Named reducers for :meth:`FigureResult.from_sinks`: how one sink (a
-#: ``SummaryStats`` or ``LogHistogram``) collapses to one figure value.
-_SINK_REDUCERS: Dict[str, Callable] = {
-    "mean": lambda sink: sink.mean,
-    "median": _pct(50),
-    "total": lambda sink: sink.total,
-    "min": lambda sink: sink.minimum,
-    "max": lambda sink: sink.maximum,
-    "p50": _pct(50),
-    "p90": _pct(90),
-    "p99": _pct(99),
-    "p99.9": _pct(99.9),
-}
-
-
-def _csv_field(value) -> str:
-    """One RFC-4180 CSV field: quote when it contains , " or a newline."""
-    text = value if isinstance(value, str) else str(value)
-    if any(ch in text for ch in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _csv_row(fields) -> str:
-    return ",".join(_csv_field(item) for item in fields)
 
 
 @dataclass
@@ -84,59 +48,6 @@ class FigureResult:
                 f"available {self.x_label} values: {self.x_values}")
         return self.series[series][self.x_values.index(x)]
 
-    def to_csv(self) -> str:
-        """The series as CSV (header row: x_label + series names).
-
-        Fields are RFC-4180 quoted, so series names like
-        ``"re-read, cached"`` survive a round-trip through csv readers.
-        """
-        lines = [_csv_row([self.x_label] + list(self.series))]
-        for i, x in enumerate(self.x_values):
-            row = [str(x)] + [repr(values[i])
-                              for values in self.series.values()]
-            lines.append(_csv_row(row))
-        return "\n".join(lines)
-
-    @classmethod
-    def from_sinks(cls, figure: str, title: str, x_label: str,
-                   x_values: List,
-                   series: Mapping[str, Sequence],
-                   reduce: Union[str, Callable] = "mean",
-                   unit: str = "", notes: str = "") -> "FigureResult":
-        """Build a figure from per-x metric sinks instead of raw floats.
-
-        Each series maps to a list of sinks (``SummaryStats`` or
-        ``LogHistogram``), one per x-value; ``reduce`` — a name from
-        ``{mean, median, total, min, max, p50, p90, p99, p99.9}`` or a
-        callable — collapses each sink to the plotted value.  Plain
-        numbers pass through unchanged, so a series can mix measured
-        sinks with precomputed values.  The result is an ordinary
-        :class:`FigureResult` (same fields, same serialized form), which
-        is what keeps the pre-sink regression pins byte-identical.
-        """
-        if callable(reduce):
-            reducer = reduce
-        else:
-            try:
-                reducer = _SINK_REDUCERS[reduce]
-            except KeyError:
-                raise ValueError(
-                    f"unknown sink reducer {reduce!r}; available: "
-                    f"{sorted(_SINK_REDUCERS)} (or pass a callable)")
-        reduced: Dict[str, List[float]] = {}
-        for name, sinks in series.items():
-            if len(sinks) != len(x_values):
-                raise ValueError(
-                    f"series {name!r} has {len(sinks)} entries for "
-                    f"{len(x_values)} x-values")
-            reduced[name] = [
-                float(sink) if isinstance(sink, (int, float))
-                else float(reducer(sink))
-                for sink in sinks]
-        return cls(figure=figure, title=title, x_label=x_label,
-                   x_values=x_values, series=reduced, unit=unit,
-                   notes=notes)
-
 
 @dataclass
 class BreakdownResult:
@@ -164,45 +75,6 @@ class BreakdownResult:
         if self.notes:
             text += f"\n  note: {self.notes}"
         return text
-
-    def to_csv(self) -> str:
-        """The bars as CSV (header row: bar + categories + total)."""
-        categories: List[str] = []
-        for breakdown in self.bars.values():
-            for name, _ in breakdown.rows():
-                if name not in categories:
-                    categories.append(name)
-        lines = [_csv_row(["bar"] + categories + ["total"])]
-        for label, breakdown in self.bars.items():
-            cells = [repr(breakdown.get(c)) for c in categories]
-            lines.append(_csv_row([label] + cells + [repr(breakdown.total)]))
-        return "\n".join(lines)
-
-    @classmethod
-    def from_sinks(cls, figure: str, title: str,
-                   bars: Mapping[str, Sequence[UtilizationBreakdown]],
-                   notes: str = "") -> "BreakdownResult":
-        """Build a breakdown figure from per-window measurement sinks.
-
-        Each bar maps to one or more :class:`UtilizationBreakdown`
-        windows (e.g. one per fanout point); windows are merged
-        capacity-weighted via :meth:`UtilizationBreakdown.merge` into the
-        single breakdown the bar displays.  A bar given a single
-        breakdown passes through untouched, so migrated single-window
-        experiments serialize exactly as before.
-        """
-        merged: Dict[str, UtilizationBreakdown] = {}
-        for label, windows in bars.items():
-            if isinstance(windows, UtilizationBreakdown):
-                windows = [windows]
-            if not windows:
-                raise ValueError(
-                    f"bar {label!r}: no measurement windows to merge")
-            combined = windows[0]
-            for window in windows[1:]:
-                combined = combined.merge(window)
-            merged[label] = combined
-        return cls(figure=figure, title=title, bars=merged, notes=notes)
 
 
 class BreakdownViews:
@@ -273,24 +145,6 @@ def daemon_view(cluster: VirtualHadoopCluster,
 
 
 # ------------------------------------------------------------------- helpers
-def read_file_timed(cluster: VirtualHadoopCluster, client, path: str,
-                    request_bytes: int):
-    """Generator: read ``path`` fully; returns (elapsed, bytes)."""
-    sim = cluster.sim
-    start = sim.now
-    source = yield from client.read_file(path, request_bytes)
-    return sim.now - start, source.size
-
-
-def warm_caches(cluster: VirtualHadoopCluster, client, path: str,
-                request_bytes: int = 1 << 20) -> None:
-    """Prime all caches by reading ``path`` once (re-read preparation)."""
-    def proc():
-        yield from client.read_file(path, request_bytes)
-
-    cluster.run(cluster.sim.process(proc()))
-
-
 def load_dataset(cluster: VirtualHadoopCluster, path: str, source,
                  favored=None, spread: bool = False) -> None:
     """Write a dataset through the vanilla path and settle refreshes."""

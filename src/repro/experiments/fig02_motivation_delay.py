@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.cluster import VirtualHadoopCluster
-from repro.experiments.common import (
-    FigureResult, load_dataset)
+from repro.experiments.common import FigureResult, load_dataset
 from repro.storage.content import PatternSource
 from repro.workloads.filereader import FileReadBenchmark
 
@@ -34,7 +33,7 @@ class Fig02Result:
 
 
 def _measure(file_bytes: int, request_bytes: int, cached: bool):
-    """Returns (inter-VM, local) per-request delay sinks (SummaryStats)."""
+    """Returns the (inter-VM, local) mean per-request delays in seconds."""
     cluster = VirtualHadoopCluster(block_size=max(file_bytes, 1 << 20))
     payload = PatternSource(file_bytes, seed=2)
     load_dataset(cluster, "/fig2/data", payload, favored=["dn1"])
@@ -43,13 +42,12 @@ def _measure(file_bytes: int, request_bytes: int, cached: bool):
 
     def run_local():
         bench = FileReadBenchmark(request_bytes)
-        yield from bench.read_local(cluster.client_vm, "/data/file")
-        return bench.delays
+        return (yield from bench.read_local(cluster.client_vm, "/data/file"))
 
     def run_hdfs():
         bench = FileReadBenchmark(request_bytes)
-        yield from bench.read_hdfs(cluster.clients.get(mode="vanilla"), "/fig2/data")
-        return bench.delays
+        return (yield from bench.read_hdfs(
+            cluster.clients.get(mode="vanilla"), "/fig2/data"))
 
     results = []
     for runner in (run_hdfs, run_local):
@@ -71,16 +69,15 @@ def run(file_bytes: int = 16 << 20,
         inter_vm, local = [], []
         for request_bytes in request_sizes:
             iv, lc = _measure(file_bytes, request_bytes, cached)
-            inter_vm.append(iv)
-            local.append(lc)
-        figures[tag] = FigureResult.from_sinks(
+            inter_vm.append(iv * 1e3)
+            local.append(lc * 1e3)
+        figures[tag] = FigureResult(
             figure=paper_panel,
             title=("Virtual HDFS data access delay "
                    + ("with cache" if cached else "without cache")),
             x_label="size of request",
             x_values=[SIZE_LABELS.get(s, str(s)) for s in request_sizes],
             series={"inter-VM": inter_vm, "local": local},
-            reduce=lambda delays: delays.mean * 1e3,
             unit="ms",
             notes=f"file={file_bytes >> 20}MB, quad-core @2.0GHz",
         )

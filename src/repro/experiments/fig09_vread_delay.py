@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from repro.cluster import VirtualHadoopCluster
-from repro.experiments.common import (
-    FigureResult, load_dataset)
+from repro.experiments.common import FigureResult, load_dataset
 from repro.storage.content import PatternSource
 from repro.workloads.filereader import FileReadBenchmark
 
@@ -41,7 +40,7 @@ class Fig09Result:
 
 def _measure(vread: bool, total_vms: int, request_bytes: int,
              cached: bool, file_bytes: int):
-    """Returns the measured pass's per-request delay sink (SummaryStats)."""
+    """Returns the measured pass's mean per-request delay in ms."""
     cluster = VirtualHadoopCluster(block_size=max(file_bytes, 1 << 20),
                                    vread=vread,
                                    total_vms_per_host=total_vms)
@@ -51,16 +50,15 @@ def _measure(vread: bool, total_vms: int, request_bytes: int,
 
     def reader():
         bench = FileReadBenchmark(request_bytes)
-        yield from bench.read_hdfs(client, "/fig9/data")
-        return bench.delays
+        return (yield from bench.read_hdfs(client, "/fig9/data"))
 
     if cached:
         cluster.run(cluster.sim.process(reader()))  # warm-up
     else:
         cluster.drop_all_caches()
-    delays = cluster.run(cluster.sim.process(reader()))
+    delay = cluster.run(cluster.sim.process(reader()))
     cluster.stop_background()
-    return delays
+    return delay * 1e3
 
 
 def run(file_bytes: int = 16 << 20,
@@ -80,14 +78,13 @@ def run(file_bytes: int = 16 << 20,
                 _measure(False, 4, request_bytes, cached, file_bytes))
             series["vRead-4vms"].append(
                 _measure(True, 4, request_bytes, cached, file_bytes))
-        figures[tag] = FigureResult.from_sinks(
+        figures[tag] = FigureResult(
             figure=panel,
             title=("Data access delay "
                    + ("with cache" if cached else "without cache")),
             x_label="size of request",
             x_values=[SIZE_LABELS.get(s, str(s)) for s in request_sizes],
             series=series,
-            reduce=lambda delays: delays.mean * 1e3,
             unit="ms",
             notes=f"file={file_bytes >> 20}MB, co-located read @2.0GHz",
         )

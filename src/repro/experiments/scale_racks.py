@@ -82,7 +82,7 @@ def _measure(vread: bool, n_racks: int, file_bytes: int,
     elapsed = cluster.sim.now - start
 
     per_client = file_bytes / 1e6 / elapsed
-    racks = GroupedTotals("rack", unit="MB/s")
+    racks = GroupedTotals()
     for vm in cluster.client_vms:
         racks.add(vm.host.rack, per_client, host=vm.host.name)
     return RackPoint(

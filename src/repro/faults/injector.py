@@ -12,7 +12,7 @@ counted into the cluster's :class:`~repro.metrics.accounting.FaultCounters`
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.faults.plan import FaultPlan
 from repro.metrics.accounting import FaultCounters

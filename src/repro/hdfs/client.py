@@ -28,7 +28,7 @@ from repro.faults.retry import (DeadlineExceeded, RetryPolicy,
                                 call_with_deadline)
 from repro.hdfs.block import Block
 from repro.hdfs.config import HdfsConfig
-from repro.hdfs.namenode import HdfsError, Namenode
+from repro.hdfs.namenode import Namenode
 from repro.hdfs.protocol import (
     Ack,
     ErrorResponse,
@@ -37,7 +37,7 @@ from repro.hdfs.protocol import (
     OpWriteBlock,
     WritePacket,
 )
-from repro.metrics.accounting import CLIENT_APPLICATION, OTHERS
+from repro.metrics.accounting import CLIENT_APPLICATION
 from repro.net.tcp import VmNetwork
 from repro.storage.content import ByteSource, ConcatSource, LiteralSource, SliceSource
 from repro.virt.vm import VirtualMachine

@@ -17,7 +17,7 @@ from repro.hdfs.namenode import Namenode
 from repro.hdfs.protocol import Ack, OpWriteBlock, WritePacket
 from repro.metrics.accounting import OTHERS
 from repro.net.tcp import VmNetwork
-from repro.storage.filesystem import FsError, InodeRangeSource
+from repro.storage.filesystem import FsError
 
 
 class ReplicationMonitor:

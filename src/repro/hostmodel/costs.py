@@ -30,7 +30,7 @@ The vRead path charges only (paper Fig 4):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)

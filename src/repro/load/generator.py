@@ -32,8 +32,7 @@ __all__ = ["LoadGenerator"]
 class LoadGenerator:
     """Seeded open-loop arrivals for a set of tenants, reported via SLO sinks."""
 
-    def __init__(self, tenants: Sequence[TenantSpec], seed: int = 0,
-                 window_seconds: float = 0.5, bins_per_decade: int = 100):
+    def __init__(self, tenants: Sequence[TenantSpec], seed: int = 0):
         if not tenants:
             raise ValueError("need at least one tenant")
         names = [tenant.name for tenant in tenants]
@@ -41,16 +40,11 @@ class LoadGenerator:
             raise ValueError(f"tenant names must be unique: {names}")
         self.tenants = list(tenants)
         self.seed = seed
-        self.window_seconds = window_seconds
-        self.bins_per_decade = bins_per_decade
         self.streams = RandomStreams(seed)
 
     # ------------------------------------------------------------- plumbing
     def _make_slos(self) -> Dict[str, TenantSlo]:
-        return {tenant.name: TenantSlo(tenant.name,
-                                       tenant.deadline_seconds,
-                                       window_seconds=self.window_seconds,
-                                       bins_per_decade=self.bins_per_decade)
+        return {tenant.name: TenantSlo(tenant.name, tenant.deadline_seconds)
                 for tenant in self.tenants}
 
     def _stream(self, purpose: str, tenant: TenantSpec):
@@ -144,4 +138,4 @@ class LoadGenerator:
                 yield AllOf(sim, outstanding)
 
         cluster.run(sim.process(whole_run()))
-        return SloReport.from_sinks(title, slos, duration)
+        return SloReport.from_tenants(title, slos, duration)

@@ -2,12 +2,11 @@
 
 :class:`TenantSlo` is the bundle of metric sinks one tenant streams its
 request outcomes into — a :class:`~repro.metrics.sinks.LogHistogram` for
-latency quantiles and two :class:`~repro.metrics.sinks.WindowedCounter`
-instances (completions and deadline misses) for goodput and violation
-timelines.  Memory is bounded regardless of request count, which is what
-lets the open-loop generator run millions of samples with flat memory
-(``tests/load/test_slo.py`` gates this; ``benchmarks/e2e`` tracks
-``peak_rss_mb`` end to end).
+latency quantiles and a :class:`~repro.metrics.sinks.WindowedCounter` of
+deadline misses for the violation timeline.  Memory is bounded regardless
+of request count, which is what lets the open-loop generator run millions
+of samples with flat memory (``tests/load/test_slo.py`` gates this;
+``benchmarks/e2e`` tracks ``peak_rss_mb`` end to end).
 
 :class:`SloReport` reduces the sinks to a plain dataclass of primitives:
 per-tenant p50/p99/p99.9 latency, goodput, and the SLO-violation time
@@ -22,31 +21,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping
 
 from repro.metrics.report import Table
-from repro.metrics.sinks import EmptyMetricError, LogHistogram, WindowedCounter
+from repro.metrics.sinks import (WINDOW_SECONDS, EmptyMetricError,
+                                 LogHistogram, WindowedCounter)
 
 __all__ = ["SloReport", "TenantSlo", "TenantSloSummary"]
 
 
 class TenantSlo:
-    """One tenant's streaming SLO sinks (latency sketch + windows)."""
+    """One tenant's streaming SLO sinks (latency sketch + miss windows)."""
 
-    __slots__ = ("name", "deadline_seconds", "latency", "completions",
-                 "misses", "arrivals", "_total_latency")
+    __slots__ = ("name", "deadline_seconds", "latency", "misses",
+                 "arrivals", "_total_latency")
 
-    def __init__(self, name: str, deadline_seconds: float,
-                 window_seconds: float = 0.5,
-                 bins_per_decade: int = 100):
+    def __init__(self, name: str, deadline_seconds: float):
         if deadline_seconds <= 0:
             raise ValueError(
                 f"deadline must be positive: {deadline_seconds}")
         self.name = name
         self.deadline_seconds = deadline_seconds
-        self.latency = LogHistogram(bins_per_decade=bins_per_decade)
-        self.completions = WindowedCounter(window_seconds)
-        self.misses = WindowedCounter(window_seconds)
+        self.latency = LogHistogram()
+        self.misses = WindowedCounter()
         self.arrivals = 0
         self._total_latency = 0.0
 
@@ -58,19 +55,24 @@ class TenantSlo:
         latency = completion - arrival
         self.latency.observe(latency)
         self._total_latency += latency
-        self.completions.observe(completion)
         if latency > self.deadline_seconds:
             self.misses.observe(completion)
 
     def summarize(self, duration: float) -> "TenantSloSummary":
-        """Reduce the sinks to the report row for this tenant."""
+        """Reduce the sinks to the report row for this tenant.
+
+        The violation fraction is over the ``ceil(duration / window)``
+        measured windows.  Requests still outstanding at ``duration``
+        drain afterwards; a miss completing then marks the last measured
+        window, so the fraction never exceeds 1.
+        """
         count = self.latency.count
         if count == 0:
             raise EmptyMetricError(f"TenantSlo[{self.name}].summarize")
-        n_windows = max(1, math.ceil(duration
-                                     / self.completions.window_seconds))
-        violated = sum(1 for _, misses in self.misses.windows() if misses)
-        goodput = (self.completions.count - self.misses.count) / duration
+        n_windows = max(1, math.ceil(duration / WINDOW_SECONDS))
+        violated = len({min(index, n_windows - 1)
+                        for index, _ in self.misses.windows()})
+        goodput = (count - self.misses.count) / duration
         to_ms = 1e3
         return TenantSloSummary(
             tenant=self.name,
@@ -120,14 +122,13 @@ class SloReport:
     notes: str = ""
 
     @classmethod
-    def from_sinks(cls, title: str, slos: Mapping[str, TenantSlo],
-                   duration: float, notes: str = "") -> "SloReport":
+    def from_tenants(cls, title: str, slos: Mapping[str, TenantSlo],
+                     duration: float, notes: str = "") -> "SloReport":
         if not slos:
-            raise EmptyMetricError("SloReport.from_sinks")
-        window = next(iter(slos.values())).completions.window_seconds
+            raise EmptyMetricError("SloReport.from_tenants")
         return cls(title=title,
                    duration_seconds=duration,
-                   window_seconds=window,
+                   window_seconds=WINDOW_SECONDS,
                    tenants={name: slo.summarize(duration)
                             for name, slo in sorted(slos.items())},
                    notes=notes)

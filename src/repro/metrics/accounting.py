@@ -211,8 +211,6 @@ class UtilizationBreakdown:
             raise ValueError("window must be positive")
         if cores < 1:
             raise ValueError("need at least one core")
-        self.window_seconds = window_seconds
-        self.cores = cores
         capacity = window_seconds * cores
         self.utilization: Dict[str, float] = {
             category: seconds / capacity
@@ -226,27 +224,6 @@ class UtilizationBreakdown:
 
     def get(self, category: str) -> float:
         return self.utilization.get(category, 0.0)
-
-    def merge(self, other: "UtilizationBreakdown") -> "UtilizationBreakdown":
-        """Combine two measurement windows into one breakdown.
-
-        Busy-seconds add; the combined window is capacity-weighted (the
-        result reports busy / total capacity across both windows), so
-        merging a bar's per-point breakdowns from a fanout is equivalent
-        to having measured one long window.  Merge order does not matter
-        beyond float-addition association.
-        """
-        merged_busy: Dict[str, float] = {}
-        for source in (self, other):
-            capacity = source.window_seconds * source.cores
-            for category, utilization in source.utilization.items():
-                merged_busy[category] = (merged_busy.get(category, 0.0)
-                                         + utilization * capacity)
-        total_capacity = (self.window_seconds * self.cores
-                          + other.window_seconds * other.cores)
-        cores = max(self.cores, other.cores)
-        return UtilizationBreakdown(merged_busy, total_capacity / cores,
-                                    cores)
 
     def rows(self) -> Iterable[Tuple[str, float]]:
         """(category, utilization) rows in the paper's legend order.

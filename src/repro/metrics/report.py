@@ -7,7 +7,7 @@ to the paper side by side.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 
 class Table:
@@ -69,43 +69,23 @@ def format_figure_series(title: str,
     return table.render()
 
 
-def improvement_pct(baseline: float, improved: float) -> float:
-    """Percentage improvement of ``improved`` over ``baseline``.
-
-    Positive when ``improved`` is larger — use for throughput.  For latency
-    or completion time (lower is better) use :func:`reduction_pct`.
-    """
-    if baseline <= 0:
-        raise ValueError("baseline must be positive")
-    return (improved - baseline) / baseline * 100.0
-
-
-def reduction_pct(baseline: float, improved: float) -> float:
-    """Percentage reduction of ``improved`` relative to ``baseline``."""
-    if baseline <= 0:
-        raise ValueError("baseline must be positive")
-    return (baseline - improved) / baseline * 100.0
-
-
 class GroupedTotals:
-    """Per-group aggregation of measurements (e.g. per rack, per host).
+    """Per-group sums of measurements (e.g. per rack, per host).
 
     Multi-rack sweeps record one sample per (rack, host) measurement
-    point; ``totals()`` rolls them up at any grouping level and
-    ``render()`` prints the familiar ASCII table.  Insertion order of
-    groups is preserved so deterministic runs render identically::
+    point; ``totals()`` rolls them up per group and ``by_host()`` per
+    host.  Insertion order of groups is preserved so deterministic runs
+    report identically::
 
-        agg = GroupedTotals("rack", unit="MB/s")
+        agg = GroupedTotals()
         agg.add("rack1", 312.0, host="host1")
         agg.add("rack1", 298.5, host="host2")
         agg.add("rack2", 144.8, host="host3")
         agg.totals()   # {"rack1": 610.5, "rack2": 144.8}
     """
 
-    def __init__(self, group_label: str, unit: str = ""):
-        self.group_label = group_label
-        self.unit = unit
-        #: group -> list of (subgroup, value) samples, insertion-ordered.
+    def __init__(self):
+        #: group -> list of (host, value) samples, insertion-ordered.
         self._samples: dict = {}
 
     def add(self, group: str, value: float,
@@ -113,17 +93,9 @@ class GroupedTotals:
         """Record one sample for ``group`` (optionally tagged by host)."""
         self._samples.setdefault(group, []).append((host, value))
 
-    def groups(self) -> List[str]:
-        return list(self._samples)
-
     def totals(self) -> "dict[str, float]":
         """Sum of samples per group, insertion-ordered."""
         return {group: sum(v for _, v in samples)
-                for group, samples in self._samples.items()}
-
-    def means(self) -> "dict[str, float]":
-        """Mean of samples per group, insertion-ordered."""
-        return {group: sum(v for _, v in samples) / len(samples)
                 for group, samples in self._samples.items()}
 
     def by_host(self) -> "dict[str, float]":
@@ -134,17 +106,3 @@ class GroupedTotals:
                 if host is not None:
                     out[host] = out.get(host, 0.0) + value
         return out
-
-    def render(self, title: Optional[str] = None) -> str:
-        """One table row per group: samples, total, mean."""
-        unit = f" ({self.unit})" if self.unit else ""
-        table = Table([self.group_label, "samples", f"total{unit}",
-                       f"mean{unit}"], title=title)
-        totals, means = self.totals(), self.means()
-        for group, samples in self._samples.items():
-            table.add_row(group, len(samples), totals[group], means[group])
-        return table.render()
-
-    def __repr__(self) -> str:
-        return (f"<GroupedTotals {self.group_label} "
-                f"groups={len(self._samples)}>")

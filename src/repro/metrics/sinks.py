@@ -1,37 +1,22 @@
-"""Streaming metric sinks: bounded-memory, mergeable, deterministic.
+"""Streaming SLO sinks: bounded memory, deterministic digests.
 
-The results layer used to accumulate every sample in Python lists
-(``SummaryStats``), which made memory grow linearly with sample count and
-made multi-job runs impossible to merge reproducibly.  This module is the
-redesigned core: a :class:`MetricSink` is a bounded-memory accumulator
-that can
-
-* **observe** samples one at a time (streaming, no retained list),
-* **merge** with another sink of the same configuration (fan-out across
-  ``--jobs N`` workers, then combine), and
-* serialize to a canonical **state** whose SHA-256 **digest** is
-  byte-identical for any merge order and for serial-vs-parallel runs.
-
-Three concrete sinks cover the package's needs:
+The open-loop load generator (:mod:`repro.load`) streams every request
+outcome into two kinds of sink, so its memory stays flat however many
+requests a run makes:
 
 :class:`LogHistogram`
     A fixed-bin log-bucketed quantile sketch.  Bucket ``i`` covers values
-    in ``[10^(i/b), 10^((i+1)/b))`` for ``b`` bins per decade, so bucket
+    in ``[10^(i/b), 10^((i+1)/b))`` for ``b = BINS_PER_DECADE``, so bucket
     membership is a pure function of the value — unlike t-digest the
-    result does not depend on insertion order, which is what makes
-    ``--jobs N`` byte-identical to serial.  Quantiles use nearest-rank
-    selection and return the bucket's geometric midpoint; the relative
-    error is bounded by :attr:`LogHistogram.relative_error_bound`.
+    result does not depend on insertion order.  Quantiles use nearest-rank
+    selection and return the bucket's geometric midpoint, which is off
+    from the selected sample by at most ``10^(1/(2b)) - 1`` (about 1.16%).
+    :meth:`LogHistogram.digest` is the SHA-256 of the sketch's canonical
+    state; SLO reports carry it so determinism gates can compare runs.
 
 :class:`WindowedCounter`
-    Occurrence counts per fixed time window (throughput, deadline-miss
-    tracking).  Integer counts, so merging is exact.
-
-:class:`Reservoir`
-    A seeded bounded reservoir (Algorithm R).  Below capacity it retains
-    every sample in insertion order — the compatibility path that lets
-    :class:`~repro.metrics.stats.SummaryStats` keep its exact historical
-    behaviour for small runs.
+    Occurrence counts per fixed ``WINDOW_SECONDS`` time window (deadline
+    misses per window, for the SLO-violation time fraction).
 
 Empty-state contract
 --------------------
@@ -45,21 +30,25 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import random
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
+    "BINS_PER_DECADE",
     "EmptyMetricError",
     "LogHistogram",
-    "MetricSink",
-    "Reservoir",
+    "WINDOW_SECONDS",
     "WindowedCounter",
-    "sink_digest",
 ]
+
+#: Resolution of :class:`LogHistogram` buckets.
+BINS_PER_DECADE = 100
+
+#: Width of a :class:`WindowedCounter` window, in simulated seconds.
+WINDOW_SECONDS = 0.5
 
 
 class EmptyMetricError(ValueError):
-    """An accessor needed samples but the sink/stats object has none.
+    """An accessor needed samples but the sink or benchmark has none.
 
     Subclasses ``ValueError`` so pre-existing ``except ValueError``
     handlers (and tests) keep working.  The message always follows
@@ -76,8 +65,7 @@ def _canonical(state: Any) -> str:
     """Canonical JSON text for digesting (sorted keys, repr-exact floats).
 
     Floats go through ``repr`` (shortest round-trip form), so two states
-    digest equal iff their floats are bit-equal — the property the
-    serial-vs-``--jobs N`` determinism gates check.
+    digest equal iff their floats are bit-equal.
     """
     def encode(obj: Any) -> Any:
         if isinstance(obj, float):
@@ -91,75 +79,26 @@ def _canonical(state: Any) -> str:
     return json.dumps(encode(state), sort_keys=True, separators=(",", ":"))
 
 
-def sink_digest(state: Any) -> str:
-    """SHA-256 hex digest of a sink state (or any canonical-able value)."""
-    return hashlib.sha256(_canonical(state).encode("ascii")).hexdigest()
-
-
-class MetricSink:
-    """Base class for streaming metric accumulators.
-
-    Subclasses implement :meth:`observe`, :meth:`merge` and
-    :meth:`state`; :meth:`digest` is derived.  ``merge`` must be
-    associative and commutative on everything :meth:`state` exposes, so
-    any fan-out/fan-in topology over the same samples produces the same
-    digest.
-    """
-
-    def observe(self, value: float) -> None:
-        raise NotImplementedError
-
-    def merge(self, other: "MetricSink") -> None:
-        raise NotImplementedError
-
-    def state(self) -> Dict[str, Any]:
-        """Canonical JSON-able snapshot of the sink's contents."""
-        raise NotImplementedError
-
-    def digest(self) -> str:
-        """SHA-256 over the canonical state (see :func:`sink_digest`)."""
-        return sink_digest(self.state())
-
-    def _require_same_config(self, other: "MetricSink",
-                             attribute: str) -> None:
-        if type(other) is not type(self):
-            raise TypeError(
-                f"cannot merge {type(self).__name__} with "
-                f"{type(other).__name__}")
-        if getattr(self, attribute) != getattr(other, attribute):
-            raise ValueError(
-                f"cannot merge {type(self).__name__} sinks with different "
-                f"{attribute}: {getattr(self, attribute)!r} != "
-                f"{getattr(other, attribute)!r}")
-
-
-class LogHistogram(MetricSink):
+class LogHistogram:
     """Fixed-bin log-bucketed histogram: a deterministic quantile sketch.
 
-    Positive values land in bucket ``floor(log10(v) * bins_per_decade)``;
+    Positive values land in bucket ``floor(log10(v) * BINS_PER_DECADE)``;
     zero and negative values are counted in a dedicated underflow bucket
     (latencies are positive, but a sink must not crash on a degenerate
-    sample).  Exact minimum and maximum are tracked alongside — both are
-    merge-order-invariant — and quantile results are clamped into
-    ``[minimum, maximum]`` so a sparse histogram never reports a value
-    outside the observed range.
+    sample).  The exact minimum and maximum are tracked alongside, and
+    quantile results are clamped into ``[minimum, maximum]`` so a sparse
+    histogram never reports a value outside the observed range.
     """
 
-    __slots__ = ("bins_per_decade", "_counts", "_underflow", "_count",
-                 "_min", "_max")
+    __slots__ = ("_counts", "_underflow", "_count", "_min", "_max")
 
-    def __init__(self, bins_per_decade: int = 100):
-        if bins_per_decade < 1:
-            raise ValueError(
-                f"bins_per_decade must be positive: {bins_per_decade}")
-        self.bins_per_decade = bins_per_decade
+    def __init__(self):
         self._counts: Dict[int, int] = {}
         self._underflow = 0
         self._count = 0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
 
-    # ------------------------------------------------------------- streaming
     def observe(self, value: float) -> None:
         value = float(value)
         self._count += 1
@@ -170,33 +109,13 @@ class LogHistogram(MetricSink):
         if value <= 0.0:
             self._underflow += 1
             return
-        index = math.floor(math.log10(value) * self.bins_per_decade)
+        index = math.floor(math.log10(value) * BINS_PER_DECADE)
         counts = self._counts
         counts[index] = counts.get(index, 0) + 1
 
-    def merge(self, other: "LogHistogram") -> None:
-        self._require_same_config(other, "bins_per_decade")
-        for index, n in other._counts.items():
-            self._counts[index] = self._counts.get(index, 0) + n
-        self._underflow += other._underflow
-        self._count += other._count
-        if other._min is not None and (self._min is None
-                                       or other._min < self._min):
-            self._min = other._min
-        if other._max is not None and (self._max is None
-                                       or other._max > self._max):
-            self._max = other._max
-
-    # -------------------------------------------------------------- reading
     @property
     def count(self) -> int:
         return self._count
-
-    @property
-    def minimum(self) -> float:
-        if self._min is None:
-            raise EmptyMetricError("LogHistogram.minimum")
-        return self._min
 
     @property
     def maximum(self) -> float:
@@ -204,29 +123,14 @@ class LogHistogram(MetricSink):
             raise EmptyMetricError("LogHistogram.maximum")
         return self._max
 
-    @property
-    def relative_error_bound(self) -> float:
-        """Worst-case relative error of :meth:`quantile`.
-
-        A bucket spans a factor of ``10^(1/b)``; returning its geometric
-        midpoint is off from any member by at most ``10^(1/(2b)) - 1``
-        (about 1.16% at 100 bins per decade).
-        """
-        return 10.0 ** (1.0 / (2.0 * self.bins_per_decade)) - 1.0
-
-    def _bucket_midpoint(self, index: int) -> float:
-        return 10.0 ** ((index + 0.5) / self.bins_per_decade)
-
     def quantile(self, q: float) -> float:
         """Nearest-rank ``q``-th percentile (0..100), bucket-resolution.
 
         Selects the sample of rank ``max(1, ceil(q/100 * count))`` in
         sorted order and returns the geometric midpoint of its bucket,
         clamped into ``[minimum, maximum]``.  Bucketing is monotonic, so
-        the selected bucket is exactly the one holding that sample; the
-        result is within :attr:`relative_error_bound` of it (for positive
-        samples; ranks falling in the underflow bucket report
-        ``minimum``).
+        the selected bucket is exactly the one holding that sample (ranks
+        falling in the underflow bucket report the minimum).
         """
         if self._count == 0:
             raise EmptyMetricError("LogHistogram.quantile")
@@ -239,24 +143,15 @@ class LogHistogram(MetricSink):
         for index in sorted(self._counts):
             cumulative += self._counts[index]
             if cumulative >= rank:
-                midpoint = self._bucket_midpoint(index)
+                midpoint = 10.0 ** ((index + 0.5) / BINS_PER_DECADE)
                 return min(max(midpoint, self._min), self._max)
         return self._max  # unreachable unless counts were mutated
 
-    def approx_sum(self) -> float:
-        """Deterministic approximate sum: midpoint-weighted bucket counts.
-
-        Computed from the (merge-invariant) state in sorted bucket order,
-        so unlike a running float total it is identical for any merge
-        topology.  Underflow samples contribute zero.
-        """
-        return sum(self._counts[index] * self._bucket_midpoint(index)
-                   for index in sorted(self._counts))
-
-    def state(self) -> Dict[str, Any]:
-        return {
+    def digest(self) -> str:
+        """SHA-256 hex digest of the sketch's canonical state."""
+        state = {
             "type": "log_histogram",
-            "bins_per_decade": self.bins_per_decade,
+            "bins_per_decade": BINS_PER_DECADE,
             "count": self._count,
             "underflow": self._underflow,
             "counts": [[index, self._counts[index]]
@@ -264,48 +159,25 @@ class LogHistogram(MetricSink):
             "min": self._min,
             "max": self._max,
         }
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __repr__(self) -> str:
-        return (f"<LogHistogram n={self._count} "
-                f"buckets={len(self._counts)} b={self.bins_per_decade}>")
+        return hashlib.sha256(_canonical(state).encode("ascii")).hexdigest()
 
 
-class WindowedCounter(MetricSink):
+class WindowedCounter:
     """Occurrence counts per fixed-width time window.
 
-    ``observe(t)`` increments the window ``floor(t / window_seconds)``.
-    Counts are integers, so merges are exact in any order.  Feeds
-    throughput ("goodput per second") and SLO-violation time-fraction
-    reporting: a consumer compares two counters window-by-window (e.g.
-    completions vs deadline misses).
+    ``observe(t)`` increments the window ``floor(t / WINDOW_SECONDS)``.
     """
 
-    __slots__ = ("window_seconds", "_windows", "_count")
+    __slots__ = ("_windows", "_count")
 
-    def __init__(self, window_seconds: float = 1.0):
-        if window_seconds <= 0:
-            raise ValueError(
-                f"window_seconds must be positive: {window_seconds}")
-        self.window_seconds = float(window_seconds)
+    def __init__(self):
         self._windows: Dict[int, int] = {}
         self._count = 0
 
     def observe(self, time: float) -> None:
-        self.add(time, 1)
-
-    def add(self, time: float, n: int = 1) -> None:
-        index = math.floor(time / self.window_seconds)
-        self._windows[index] = self._windows.get(index, 0) + n
-        self._count += n
-
-    def merge(self, other: "WindowedCounter") -> None:
-        self._require_same_config(other, "window_seconds")
-        for index, n in other._windows.items():
-            self._windows[index] = self._windows.get(index, 0) + n
-        self._count += other._count
+        index = math.floor(time / WINDOW_SECONDS)
+        self._windows[index] = self._windows.get(index, 0) + 1
+        self._count += 1
 
     @property
     def count(self) -> int:
@@ -315,112 +187,3 @@ class WindowedCounter(MetricSink):
         """Sorted ``(window_index, count)`` pairs (empty windows omitted)."""
         return [(index, self._windows[index])
                 for index in sorted(self._windows)]
-
-    def get(self, index: int) -> int:
-        return self._windows.get(index, 0)
-
-    def rate(self, index: int) -> float:
-        """Events per second in window ``index``."""
-        return self._windows.get(index, 0) / self.window_seconds
-
-    def span(self) -> Tuple[int, int]:
-        """``(first, last)`` populated window indices (inclusive)."""
-        if not self._windows:
-            raise EmptyMetricError("WindowedCounter.span")
-        indices = self._windows.keys()
-        return min(indices), max(indices)
-
-    def state(self) -> Dict[str, Any]:
-        return {
-            "type": "windowed_counter",
-            "window_seconds": self.window_seconds,
-            "count": self._count,
-            "windows": [[index, self._windows[index]]
-                        for index in sorted(self._windows)],
-        }
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __repr__(self) -> str:
-        return (f"<WindowedCounter n={self._count} "
-                f"windows={len(self._windows)} w={self.window_seconds}>")
-
-
-class Reservoir(MetricSink):
-    """Seeded bounded reservoir sample (Vitter's Algorithm R).
-
-    The first ``capacity`` samples are kept verbatim in insertion order;
-    past capacity, each new sample replaces a random retained one with
-    probability ``capacity / seen``, driven by a private seeded RNG so
-    runs are reproducible.  :attr:`exact` reports whether the reservoir
-    still holds *every* observed sample — the condition under which
-    :class:`~repro.metrics.stats.SummaryStats` serves exact percentiles.
-
-    ``merge`` re-feeds the other reservoir's retained samples through
-    :meth:`observe`; once either side has spilled this is a heuristic
-    (the result is deterministic but no longer a uniform sample), which
-    is why multi-job quantile aggregation uses :class:`LogHistogram`,
-    not reservoirs.  The reservoir's own samples are deliberately left
-    out of :meth:`state` for the same reason — its digest would not be
-    merge-order-invariant; only the counters are exposed.
-    """
-
-    __slots__ = ("capacity", "seed", "_samples", "_seen", "_rng")
-
-    def __init__(self, capacity: int = 4096, seed: int = 0):
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive: {capacity}")
-        self.capacity = capacity
-        self.seed = seed
-        self._samples: List[float] = []
-        self._seen = 0
-        self._rng = random.Random(f"repro.metrics.reservoir:{seed}")
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self._seen += 1
-        if len(self._samples) < self.capacity:
-            self._samples.append(value)
-            return
-        slot = self._rng.randrange(self._seen)
-        if slot < self.capacity:
-            self._samples[slot] = value
-
-    def merge(self, other: "Reservoir") -> None:
-        self._require_same_config(other, "capacity")
-        spilled = other._seen - len(other._samples)
-        for value in other._samples:
-            self.observe(value)
-        self._seen += spilled  # dropped samples still count as seen
-
-    @property
-    def count(self) -> int:
-        """Total samples observed (including any no longer retained)."""
-        return self._seen
-
-    @property
-    def exact(self) -> bool:
-        """True while every observed sample is still retained."""
-        return self._seen == len(self._samples)
-
-    @property
-    def samples(self) -> Tuple[float, ...]:
-        """Retained samples (insertion order while :attr:`exact`)."""
-        return tuple(self._samples)
-
-    def state(self) -> Dict[str, Any]:
-        return {
-            "type": "reservoir",
-            "capacity": self.capacity,
-            "seed": self.seed,
-            "seen": self._seen,
-            "retained": len(self._samples),
-        }
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def __repr__(self) -> str:
-        return (f"<Reservoir {len(self._samples)}/{self.capacity} "
-                f"seen={self._seen}>")

@@ -34,7 +34,7 @@ raise :class:`~repro.sim.SimulationError`.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 from repro.hostmodel.costs import CostModel
 from repro.metrics.accounting import OTHERS, VHOST_NET

@@ -15,7 +15,7 @@ re-read behaviour.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.storage.filesystem import FileSystem, Inode
 

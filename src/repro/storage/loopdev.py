@@ -17,7 +17,7 @@ read/write synchronization is needed).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.storage.filesystem import FsError, Inode
 from repro.storage.image import DiskImage

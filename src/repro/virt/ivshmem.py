@@ -12,7 +12,7 @@ charged by the channel users.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 from repro.sim import Container, Event, SimulationError, Simulator, Store
 

@@ -10,7 +10,7 @@ five copies.  Completion raises a virtual interrupt on the guest vCPU.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from typing import Hashable
 
 from repro.hostmodel.costs import CostModel
 from repro.metrics.accounting import COPY_VIRTIO, OTHERS

@@ -15,7 +15,7 @@ chooses (``client-application`` for HDFS clients, ``others`` for daemons).
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.hostmodel.host import PhysicalHost
 from repro.metrics.accounting import DISK_READ, OTHERS

@@ -2,15 +2,14 @@
 
 Reads a file either from the VM's local filesystem (the baseline in Fig 2)
 or from HDFS (vanilla or vRead client), with a configurable request size,
-recording the delay of every request.
+timing every request.  The figures plot the mean per-request delay, so the
+benchmark keeps just a request count and a running total.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.metrics.accounting import CLIENT_APPLICATION
-from repro.metrics.stats import SummaryStats
+from repro.metrics.sinks import EmptyMetricError
 
 
 class FileReadBenchmark:
@@ -20,14 +19,19 @@ class FileReadBenchmark:
         if request_bytes <= 0:
             raise ValueError(f"request size must be positive: {request_bytes}")
         self.request_bytes = request_bytes
-        self.delays = SummaryStats()
+        self.count = 0
+        self.total_delay = 0.0
+
+    def _record(self, delay: float) -> None:
+        self.count += 1
+        self.total_delay += delay
 
     # -------------------------------------------------------------- local FS
     def read_local(self, vm, path: str):
         """Generator: read ``path`` from the VM's own filesystem.
 
         The baseline of Figure 2: only the disk->guest-kernel and
-        kernel->application copies are involved.
+        kernel->application copies are involved.  Returns the mean delay.
         """
         sim = vm.sim
         size = vm.guest_fs.size(path)
@@ -37,13 +41,16 @@ class FileReadBenchmark:
             start = sim.now
             yield from vm.read_file(path, offset, length,
                                     copy_category=CLIENT_APPLICATION)
-            self.delays.add(sim.now - start)
+            self._record(sim.now - start)
             offset += length
-        return self.delays
+        return self.mean_delay
 
     # ------------------------------------------------------------------ HDFS
     def read_hdfs(self, client, path: str):
-        """Generator: read ``path`` through an HDFS client (vanilla/vRead)."""
+        """Generator: read ``path`` through an HDFS client (vanilla/vRead).
+
+        Returns the mean delay.
+        """
         sim = client.vm.sim
         stream = yield from client.open(path)
         while True:
@@ -51,14 +58,17 @@ class FileReadBenchmark:
             piece = yield from stream.read(self.request_bytes)
             if piece is None:
                 break
-            self.delays.add(sim.now - start)
+            self._record(sim.now - start)
         stream.close()
-        return self.delays
+        return self.mean_delay
 
     @property
     def mean_delay(self) -> float:
-        return self.delays.mean
+        """Mean per-request delay in seconds."""
+        if not self.count:
+            raise EmptyMetricError("FileReadBenchmark.mean_delay")
+        return self.total_delay / self.count
 
     def __repr__(self) -> str:
         return (f"<FileReadBenchmark req={self.request_bytes}B "
-                f"n={self.delays.count}>")
+                f"n={self.count}>")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.metrics.accounting import CLIENT_APPLICATION
 from repro.storage.content import PatternSource

@@ -10,7 +10,6 @@ CPU — the dilution that turns the raw HDFS gain into Table 3's 21.3%.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
 
 from repro.metrics.accounting import CLIENT_APPLICATION
 from repro.storage.content import PatternSource

@@ -8,8 +8,6 @@ and sleeps the rest.
 
 from __future__ import annotations
 
-from repro.metrics.accounting import OTHERS
-
 
 class Lookbusy:
     """An 85%-style CPU hog pinned to one VM."""

@@ -10,7 +10,7 @@ consumers of the HDFS data path* instead of synthetic loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.metrics.accounting import CLIENT_APPLICATION

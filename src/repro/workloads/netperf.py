@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.metrics.accounting import OTHERS
 from repro.net.tcp import VmNetwork
 
 NETPERF_PORT = 12865

@@ -10,7 +10,6 @@ vRead's benefit at the paper's 11.3%.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.metrics.accounting import CLIENT_APPLICATION, OTHERS
 from repro.net.tcp import VmNetwork

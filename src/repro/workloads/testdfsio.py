@@ -9,9 +9,7 @@ running time of the benchmark's tasks (Fig 12's metric).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
-from repro.metrics.accounting import CLIENT_APPLICATION
 from repro.storage.content import PatternSource
 from repro.workloads.mapreduce import MapSpec, MiniMapReduce
 

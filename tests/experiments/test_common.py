@@ -45,17 +45,6 @@ def test_breakdown_result_render_orders_categories():
     assert "50.0%" in text
 
 
-def test_breakdown_result_to_csv():
-    breakdown = UtilizationBreakdown({CLIENT_APPLICATION: 0.5}, 1.0, 1)
-    result = BreakdownResult("Fig Y", "demo", {"vRead": breakdown,
-                                               "vanilla": breakdown})
-    lines = result.to_csv().splitlines()
-    assert lines[0].startswith("bar,")
-    assert "client-application" in lines[0] and lines[0].endswith("total")
-    assert len(lines) == 3
-    assert lines[1].startswith("vRead,0.5")
-
-
 def test_breakdown_views_requires_mark():
     cluster = VirtualHadoopCluster(block_size=1 << 20)
     views = BreakdownViews(cluster)

@@ -7,12 +7,30 @@ dataset sizes; any drift in event ordering, placement, or fabric timing
 for the single-rack path shows up here as an exact-string mismatch.
 """
 
-from repro.cluster import VirtualHadoopCluster
+from repro.cluster import VirtualHadoopCluster, paper_fig10
 from repro.experiments.dfsio_sweep import run_cell
+from repro.experiments.fig02_motivation_delay import run as run_fig02
 from repro.experiments.fig09_vread_delay import run as run_fig09
 from repro.experiments.runner import canonical_json, jsonable
 from repro.hostmodel.frequency import GHZ_2_0
+from repro.load import LoadGenerator, default_tenants
 from repro.storage.content import PatternSource
+
+FIG02_NO_CACHE = (
+    '{"figure":"Fig 2(a)","notes":"file=2MB, quad-core @2.0GHz",'
+    '"series":{"inter-VM":[0.43945470000001013,3.794328800000017,'
+    '7.289841600000029],"local":[0.26620160000000515,2.6992256000000006,'
+    '5.294451200000003]},"title":"Virtual HDFS data access delay without '
+    'cache","unit":"ms","x_label":"size of request","x_values":["64KB",'
+    '"1MB","4MB"]}')
+
+FIG02_CACHE = (
+    '{"figure":"Fig 2(b)","notes":"file=2MB, quad-core @2.0GHz",'
+    '"series":{"inter-VM":[0.194721900000007,1.0316040000000202,'
+    '1.7893920000000354],"local":[0.021468800000000454,0.1935007999999995,'
+    '0.3770015999999994]},"title":"Virtual HDFS data access delay with '
+    'cache","unit":"ms","x_label":"size of request","x_values":["64KB",'
+    '"1MB","4MB"]}')
 
 FIG09_NO_CACHE = (
     '{"figure":"Fig 9(a)","notes":"file=2MB, co-located read @2.0GHz",'
@@ -62,6 +80,27 @@ DEFAULT_CLUSTER_DIGEST = {
     True: (0.007101635999999998, 0.008382140799999997,
            "fbedda7f44c0184cd55ae1611ce25d169266950165d113d23a538f95d5a2d48a"),
 }
+
+
+#: SloReport.digest() of two quick tenants for 1 s on a 2-client cluster.
+LOAD_REPORT_DIGEST = (
+    "7a52d3bc7eeb05bb9078826d23071b03afb9fe788b4d4e13a383e07f6b046e9d")
+
+
+def test_fig02_pins_bit_for_bit():
+    result = run_fig02(file_bytes=2 << 20)
+    assert canonical_json(jsonable(result.no_cache)) == FIG02_NO_CACHE
+    assert canonical_json(jsonable(result.cache)) == FIG02_CACHE
+
+
+def test_load_generator_report_digest_pin():
+    cluster = VirtualHadoopCluster(block_size=1 << 20, vread=True,
+                                   topology=paper_fig10(clients=2), seed=0)
+    tenants = default_tenants(2, rate=40.0, deadline_seconds=0.02,
+                              request_bytes=128 << 10, n_keys=3)
+    report = LoadGenerator(tenants, seed=9).run_cluster(cluster,
+                                                        duration=1.0)
+    assert report.digest() == LOAD_REPORT_DIGEST
 
 
 def test_fig09_pins_bit_for_bit():

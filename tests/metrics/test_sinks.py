@@ -1,19 +1,23 @@
-"""Tests for the streaming MetricSink protocol (sketches, windows, reservoir).
+"""Tests for the streaming SLO sinks (quantile sketch and miss windows).
 
-The hypothesis properties here are the determinism contract the whole
-load harness rests on: the quantile sketch's error bound against the
-exact nearest-rank percentile, merge associativity/commutativity, and
-byte-identical digests for serial vs sharded ingestion.
+The hypothesis property here is the accuracy contract the load harness
+rests on: the quantile sketch stays within its error bound of the exact
+nearest-rank percentile.
 """
 
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.sinks import (EmptyMetricError, LogHistogram, Reservoir,
-                                 WindowedCounter, sink_digest)
+from repro.metrics.sinks import EmptyMetricError, LogHistogram, WindowedCounter
+
+#: Worst-case relative error of a quantile at 100 bins per decade: a
+#: bucket spans a factor of 10^(1/100), and its geometric midpoint is off
+#: from any member by at most 10^(1/200) - 1 (about 1.16%).
+ERROR_BOUND = 10 ** (1 / 200) - 1
 
 positive_samples = st.lists(
     st.floats(min_value=1e-9, max_value=1e9,
@@ -35,8 +39,6 @@ def test_histogram_empty_contract():
     with pytest.raises(EmptyMetricError, match="no samples recorded"):
         hist.quantile(50)
     with pytest.raises(EmptyMetricError):
-        hist.minimum
-    with pytest.raises(EmptyMetricError):
         hist.maximum
 
 
@@ -44,12 +46,10 @@ def test_histogram_exact_extremes():
     hist = LogHistogram()
     for value in (0.004, 0.1, 3.7):
         hist.observe(value)
-    assert hist.minimum == 0.004
     assert hist.maximum == 3.7
     assert hist.quantile(0) >= 0.004
     assert hist.quantile(100) <= 3.7
-    assert hist.quantile(100) == pytest.approx(3.7,
-                                               rel=hist.relative_error_bound)
+    assert hist.quantile(100) == pytest.approx(3.7, rel=ERROR_BOUND)
 
 
 def test_histogram_nonpositive_goes_to_underflow():
@@ -73,121 +73,26 @@ def test_histogram_quantile_error_bound(samples, q):
     # A sample landing exactly on a bucket edge sits at precisely the
     # bound; a few ulps of slack keep the comparison robust to that.
     assert hist.quantile(q) == pytest.approx(
-        exact, rel=hist.relative_error_bound * (1 + 1e-9))
+        exact, rel=ERROR_BOUND * (1 + 1e-9))
 
 
-@settings(max_examples=40, deadline=None)
-@given(a=positive_samples, b=positive_samples, c=positive_samples)
-def test_histogram_merge_associative_commutative(a, b, c):
-    def hist_of(*sample_sets):
-        hist = LogHistogram()
-        for samples in sample_sets:
-            for value in samples:
-                hist.observe(value)
-        return hist
-
-    ab_c = hist_of(a, b)
-    ab_c.merge(hist_of(c))
-    a_bc = hist_of(a)
-    bc = hist_of(b)
-    bc.merge(hist_of(c))
-    a_bc.merge(bc)
-    assert ab_c.state() == a_bc.state()
-    assert ab_c.digest() == a_bc.digest()
-
-    ba = hist_of(b)
-    ba.merge(hist_of(a))
-    ab = hist_of(a)
-    ab.merge(hist_of(b))
-    assert ab.state() == ba.state()
-
-
-@settings(max_examples=40, deadline=None)
-@given(samples=st.lists(st.floats(min_value=1e-6, max_value=1e6,
-                                  allow_nan=False, allow_infinity=False),
-                        min_size=4, max_size=200))
-def test_histogram_serial_vs_sharded_digest(samples):
-    """Serial ingestion == 4 'worker' shards merged: byte-identical."""
-    serial = LogHistogram()
-    for value in samples:
-        serial.observe(value)
-    shards = [LogHistogram() for _ in range(4)]
-    for index, value in enumerate(samples):
-        shards[index % 4].observe(value)
-    merged = shards[0]
-    for shard in shards[1:]:
-        merged.merge(shard)
-    assert merged.digest() == serial.digest()
-    assert sink_digest(merged.state()) == sink_digest(serial.state())
-
-
-def test_histogram_merge_rejects_mismatched_resolution():
-    with pytest.raises(ValueError):
-        LogHistogram(bins_per_decade=100).merge(LogHistogram(bins_per_decade=50))
+def test_histogram_digest_hashes_the_canonical_state():
+    # SLO reports serialize this digest, so the hashed bytes are pinned.
+    hist = LogHistogram()
+    for value in (0.004, 0.1, 3.7, 0.0):
+        hist.observe(value)
+    state = ('{"bins_per_decade":100,"count":4,"counts":[[-240,1],[-100,1],'
+             '[56,1]],"max":"3.7","min":"0.0","type":"log_histogram",'
+             '"underflow":1}')
+    assert hist.digest() == hashlib.sha256(state.encode("ascii")).hexdigest()
+    assert hist.digest() == (
+        "3f1264c7153a31d63b9146a2d15e0006c26c995fc4207c291eb60a11abd66b05")
 
 
 # ------------------------------------------------------------------- windows
 def test_windowed_counter_basics():
-    counter = WindowedCounter(window_seconds=1.0)
-    for t in (0.1, 0.2, 1.5, 3.9):
+    counter = WindowedCounter()   # fixed 0.5 s windows
+    for t in (0.1, 0.2, 0.6, 1.9):
         counter.observe(t)
     assert counter.count == 4
-    assert counter.get(0) == 2
-    assert counter.get(1) == 1
-    assert counter.get(2) == 0
-    assert counter.get(3) == 1
     assert counter.windows() == [(0, 2), (1, 1), (3, 1)]
-
-
-def test_windowed_counter_merge_adds_counts():
-    left = WindowedCounter(window_seconds=0.5)
-    right = WindowedCounter(window_seconds=0.5)
-    left.observe(0.1)
-    right.observe(0.2)
-    right.observe(0.7)
-    left.merge(right)
-    assert left.get(0) == 2
-    assert left.get(1) == 1
-    with pytest.raises(ValueError):
-        left.merge(WindowedCounter(window_seconds=1.0))
-
-
-def test_windowed_counter_rate_and_span():
-    counter = WindowedCounter(window_seconds=0.5)
-    for t in (0.0, 0.25, 0.6, 1.4):
-        counter.observe(t)
-    assert counter.rate(0) == pytest.approx(4.0)
-    assert counter.rate(1) == pytest.approx(2.0)
-    assert counter.rate(5) == 0.0
-    assert counter.span() == (0, 2)
-    with pytest.raises(EmptyMetricError):
-        WindowedCounter().span()
-
-
-# ----------------------------------------------------------------- reservoir
-def test_reservoir_exact_below_capacity():
-    res = Reservoir(capacity=8)
-    for value in (5.0, 1.0, 3.0):
-        res.observe(value)
-    assert res.exact
-    assert sorted(res.samples) == [1.0, 3.0, 5.0]
-
-
-def test_reservoir_bounded_above_capacity():
-    res = Reservoir(capacity=16)
-    for value in range(1000):
-        res.observe(float(value))
-    assert not res.exact
-    assert len(res.samples) == 16
-    assert res.count == 1000
-
-
-def test_reservoir_deterministic_for_seed():
-    def fill(seed):
-        res = Reservoir(capacity=8, seed=seed)
-        for value in range(100):
-            res.observe(float(value))
-        return list(res.samples)
-
-    assert fill(1) == fill(1)
-    assert fill(1) != fill(2)

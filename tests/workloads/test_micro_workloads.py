@@ -100,7 +100,7 @@ def test_filereader_local_counts_requests(single_host_bed):
         yield from bench.read_local(vm, "/data/f")
 
     bed.run(bed.sim.process(proc()))
-    assert bench.delays.count == 4
+    assert bench.count == 4
     assert bench.mean_delay > 0
 
 
