@@ -1,6 +1,6 @@
 # Convenience targets for the vRead reproduction.
 
-.PHONY: install test lint analyze chaos bench bench-smoke kernel-smoke reference-check load-smoke storage-smoke churn-smoke profile bench-tables report paper-report quick-report demo clean
+.PHONY: install test lint analyze chaos bench bench-smoke paper-benches kernel-smoke reference-check load-smoke storage-smoke churn-smoke profile bench-tables report paper-report quick-report demo clean
 
 install:
 	python setup.py develop
@@ -30,6 +30,12 @@ bench:
 bench-smoke:
 	PYTHONPATH=src python -m pytest benchmarks/e2e -q
 	python3 benchmarks/e2e/bench.py --workload churn --runs 1 --check
+
+# The paper benches (benchmarks/test_*.py): each asserts the shape of one
+# paper claim.  Needs pytest-benchmark; timing is disabled, only the
+# asserts run.
+paper-benches:
+	PYTHONPATH=src python -m pytest benchmarks --ignore=benchmarks/e2e --benchmark-disable -q
 
 # Event kernel and CPU model: their unit suites (the cancelled-timer
 # retention tests live in tests/sim) and the fast-vs-reference identity.

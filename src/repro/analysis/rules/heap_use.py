@@ -3,7 +3,7 @@
 The kernel owns event ordering: :mod:`repro.sim.kernel` keeps the one
 event heap and carries the ``(when, seq)`` tie-break that makes runs
 reproducible.  A component that reaches for ``heapq`` directly builds a
-second ordering path: it bypasses the cancellation/compaction bookkeeping
+second ordering path: it bypasses the timer-cancellation bookkeeping
 and the kernel counters, and its tie-breaks are whatever tuple shape the
 author happened to pick.  Schedule through ``Simulator`` instead.  Code
 that needs a heap only for local arithmetic, never for event scheduling,

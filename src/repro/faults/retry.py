@@ -19,6 +19,7 @@ runs with the same seed back off identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Generator, Optional
 
@@ -67,6 +68,13 @@ def call_with_deadline(sim, generator: Generator, seconds: Optional[float]):
         f"operation exceeded its {seconds}s deadline at t={sim.now}")
 
 
+def _check_timeout(name: str, value: Optional[float]) -> None:
+    """A timeout is ``None`` (unbounded) or a finite positive number."""
+    if value is not None and not (value > 0 and math.isfinite(value)):
+        raise ValueError(
+            f"{name} must be None or finite and positive: {value}")
+
+
 @dataclass
 class RetryPolicy:
     """Retry/backoff/blacklist knobs for ``DfsInputStream`` block fetches.
@@ -99,6 +107,11 @@ class RetryPolicy:
             raise ValueError("backoff times must be non-negative")
         if not 0 <= self.jitter:
             raise ValueError(f"jitter must be non-negative: {self.jitter}")
+        if not self.backoff_multiplier > 0:
+            raise ValueError(f"backoff_multiplier must be positive: "
+                             f"{self.backoff_multiplier}")
+        _check_timeout("attempt_timeout", self.attempt_timeout)
+        _check_timeout("read_deadline", self.read_deadline)
 
     def backoff(self, attempt: int, rng=None) -> float:
         """Backoff before retry pass ``attempt`` (0-based), with jitter."""
@@ -129,3 +142,5 @@ class VReadClientPolicy:
         if self.reprobe_interval <= 0:
             raise ValueError(
                 f"reprobe_interval must be positive: {self.reprobe_interval}")
+        _check_timeout("open_timeout", self.open_timeout)
+        _check_timeout("read_timeout", self.read_timeout)

@@ -104,6 +104,8 @@ class _Burst:
     committed lazily (at segment wake-ups, demotions, or accounting reads)
     replay the reference loop's float arithmetic: identical left-folds,
     identical per-key read-modify-write sequences.
+    :meth:`CpuScheduler._execute_fast` sets the cursor at the start of
+    each segment.
     """
 
     __slots__ = ("scheduler", "thread_name", "category", "proc", "timer",
@@ -130,32 +132,6 @@ class _Burst:
         self.switch_done = True
         self.slice_cycles = 0.0
         self.frequency_hz = 0.0
-
-    def begin_segment(self, now: float, rem: float, switch_seconds: float,
-                      slice_cycles: float, frequency_hz: float) -> None:
-        self.t = now
-        self.rem = rem
-        self.switch_seconds = switch_seconds
-        # A zero-cost switch still goes through the pending state: the
-        # reference charges it unconditionally, which mints the (thread,
-        # "others") accounting key even when the value is 0.0.
-        self.switch_done = False
-        self.slice_cycles = slice_cycles
-        self.frequency_hz = frequency_hz
-
-    def segment_end(self) -> float:
-        """Absolute end of the whole remaining segment (reference fold)."""
-        t = self.t
-        if not self.switch_done:
-            t = t + self.switch_seconds
-        rem = self.rem
-        S = self.slice_cycles
-        freq = self.frequency_hz
-        while rem > 0:
-            burst = rem if rem < S else S
-            t = t + burst / freq
-            rem = rem - burst
-        return t
 
     def next_boundary(self) -> float:
         """Absolute end of the first uncommitted slice.
@@ -553,15 +529,18 @@ class CpuScheduler:
         if cycles == 0:
             return
         sim = self.sim
+        heap = sim._heap
         tracer = self.tracer
+        costs = self.costs
         resource = thread._mutex._resource
         token = None
         marker = None
-        if not resource._users and sim._quiet_at(sim._now):
-            # Mutex free and provably nothing can interleave: take the
-            # slot synchronously, skip the token round-trip.  The shared
-            # marker is safe: a capacity-1 resource holds at most one user,
-            # so no ``_users`` list ever contains it twice.
+        if not resource._users and (not heap or heap[0][0] > sim._now):
+            # Mutex free and no pending entry due at this instant, so
+            # provably nothing can interleave: take the slot synchronously,
+            # skip the token round-trip.  The shared marker is safe: a
+            # capacity-1 resource holds at most one user, so no ``_users``
+            # list ever contains it twice.
             marker = _ELIDED
             resource._users.append(marker)
         else:
@@ -571,18 +550,17 @@ class CpuScheduler:
                 yield token
             remaining = float(cycles)
             busy = self.cores - self._free_cores
-            if busy > 0 and self.costs.wakeup_stacking_delay_seconds > 0:
+            if busy > 0 and costs.wakeup_stacking_delay_seconds > 0:
                 probability = ((busy / self.cores)
-                               ** self.costs.wakeup_stacking_exponent)
+                               ** costs.wakeup_stacking_exponent)
                 if self._rng.random() < probability:
                     self.stacked_wakeups += 1
                     if tracer is not None and tracer.wants("sched"):
                         tracer.record(sim.now, "sched", "stacked",
                                       thread=thread.name, busy=busy)
-                    yield sim.timeout(
-                        self.costs.wakeup_stacking_delay_seconds)
+                    yield sim.timeout(costs.wakeup_stacking_delay_seconds)
             on_core = False
-            if self._free_cores > 0 and sim._quiet_at(sim._now):
+            if self._free_cores > 0 and (not heap or heap[0][0] > sim._now):
                 # Same elision for the grant round-trip.
                 self._free_cores -= 1
                 on_core = True
@@ -593,18 +571,39 @@ class CpuScheduler:
                 tracer.record(sim.now, "sched", "dispatch",
                               thread=thread.name, cycles=cycles)
             burst = _Burst(self, thread.name, category, sim._active_process)
-            self._inflight.append(burst)
+            inflight = self._inflight
+            inflight.append(burst)
             try:
-                pending_switch = self.seconds(self.costs.context_switch_cycles)
-                slice_cycles = (self.costs.time_slice_seconds
-                                * self.frequency_hz)
+                freq = self.frequency_hz
+                pending_switch = costs.context_switch_cycles / freq
+                slice_cycles = costs.time_slice_seconds * freq
                 while True:
-                    burst.begin_segment(sim._now, remaining, pending_switch,
-                                        slice_cycles, self.frequency_hz)
-                    # Born contended: arm only up to the first slice
-                    # boundary, exactly where the reference would preempt.
-                    end = (burst.next_boundary() if self._waiting
-                           else burst.segment_end())
+                    now = sim._now
+                    burst.t = now
+                    burst.rem = remaining
+                    burst.switch_seconds = pending_switch
+                    # A zero-cost switch still goes through the pending
+                    # state: the reference charges it unconditionally,
+                    # which mints the (thread, "others") accounting key
+                    # even when the value is 0.0.
+                    burst.switch_done = False
+                    burst.slice_cycles = slice_cycles
+                    burst.frequency_hz = freq
+                    if self._waiting:
+                        # Born contended: arm only up to the first slice
+                        # boundary, where the reference would preempt.
+                        end = burst.next_boundary()
+                    elif remaining <= slice_cycles:
+                        # The reference fold's single iteration.
+                        end = (now + pending_switch) + remaining / freq
+                    else:
+                        # The whole segment's end: the reference fold.
+                        end = now + pending_switch
+                        rem = remaining
+                        while rem > 0:
+                            part = rem if rem < slice_cycles else slice_cycles
+                            end = end + part / freq
+                            rem = rem - part
                     timer = AbsoluteTimeout(sim, end)
                     burst.timer = timer
                     burst.armed_end = end
@@ -631,9 +630,9 @@ class CpuScheduler:
                         # computes it after the switch yield, i.e. at the
                         # already-changed frequency.
                         burst.switch_end_wake = False
+                        freq = self.frequency_hz
                         pending_switch = 0.0
-                        slice_cycles = (self.costs.time_slice_seconds
-                                        * self.frequency_hz)
+                        slice_cycles = costs.time_slice_seconds * freq
                         continue
                     if self._waiting:
                         # Round-robin: yield the core, rejoin the queue
@@ -647,21 +646,32 @@ class CpuScheduler:
                         on_core = False
                         yield from self._acquire_core_or_abort()
                         on_core = True
-                        pending_switch = self.seconds(
-                            self.costs.context_switch_cycles)
-                        slice_cycles = (self.costs.time_slice_seconds
-                                        * self.frequency_hz)
+                        freq = self.frequency_hz
+                        pending_switch = costs.context_switch_cycles / freq
+                        slice_cycles = costs.time_slice_seconds * freq
                     else:
                         # Demoted without a contender left (frequency
                         # change or drained queue): re-coalesce the rest.
+                        freq = self.frequency_hz
                         pending_switch = 0.0
             finally:
-                self._inflight.remove(burst)
+                if inflight[-1] is burst:
+                    inflight.pop()
+                else:
+                    inflight.remove(burst)
                 if on_core:
-                    self._release_core()
+                    # Inlined _release_core.
+                    waiting = self._waiting
+                    if waiting:
+                        waiting.popleft().succeed(None)
+                    else:
+                        self._free_cores += 1
         finally:
             if marker is not None:
-                resource.release(marker)
+                if resource._queue:
+                    resource.release(marker)
+                else:
+                    resource._users.pop()
             elif token.triggered:
                 resource.release(token)
             else:

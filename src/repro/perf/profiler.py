@@ -4,10 +4,10 @@ The harness answers the two questions that matter for simulator speed:
 
 * **where does host CPU go?** — cProfile's top functions by internal time;
 * **how hard is the kernel working?** — events processed per host-second,
-  the cancelled-timer ratio (dead heap entries discarded vs. events
+  the cancelled-timer ratio (timers withdrawn from the heap vs. events
   processed: high values mean deadline timers are being minted and
-  abandoned faster than compaction can absorb), and the heap high-water
-  mark (peak outstanding events, a memory and ``heappush`` cost driver).
+  abandoned), and the heap high-water mark (peak outstanding events, a
+  memory and ``heappush`` cost driver).
 
 Everything runs in-process and serially (``jobs`` is forced to 1): a
 worker-pool fan-out would escape both cProfile and the kernel counters.
@@ -84,8 +84,7 @@ class ProfileReport:
             f"  events scheduled   {k.get('events_scheduled', 0):10d}",
             f"  cancelled dropped  {k.get('cancelled_discarded', 0):10d}"
             f"   (ratio {self.cancelled_ratio:.3f})",
-            f"  heap high-water    {k.get('heap_high_water', 0):10d}"
-            f"   (compactions {k.get('compactions', 0)})",
+            f"  heap high-water    {k.get('heap_high_water', 0):10d}",
             f"  simulators         {k.get('simulators', 0):10d}",
         ]
         if self.peak_traced_mb is not None:

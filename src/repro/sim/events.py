@@ -111,7 +111,7 @@ class Event:
         sanitizer = sim.sanitizer
         if sanitizer is not None:
             sanitizer.note_trigger(self)
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past ({delay})")
         sim._seq += 1
         heappush(sim._heap, (sim._now + delay, sim._seq, self, sim._now))
@@ -160,7 +160,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):  # noqa: F821
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative timeout delay {delay!r}")
         # Fully inlined Event.__init__ + _note_trigger + _enqueue: timeouts
         # are minted for every CPU slice and wire transfer, making this the
@@ -182,29 +182,25 @@ class Timeout(Event):
     def cancel(self) -> None:
         """Withdraw the timeout before it fires.
 
-        The kernel discards a cancelled timeout when it reaches the head of
-        the heap — without advancing the clock or running callbacks.  Used
-        by deadline timers whose guarded operation already completed, so a
-        won race does not stretch the simulation's drain horizon.  Only
-        call this when no process still depends on the timeout firing.
+        The kernel removes the timeout's heap entry at once, so it never
+        advances the clock or runs callbacks.  Used by deadline timers whose
+        guarded operation already completed, so a won race does not stretch
+        the simulation's drain horizon.  Only call this when no process
+        still depends on the timeout firing.
 
-        The callbacks are released at once: the heap entry may wait a long
-        time for the head or a compaction, and through its callbacks it
-        would pin the finished race (the condition, the sub-process, its
-        frames and its result).  The list is rebound, not cleared in place,
-        so a caller that took the old list keeps it, and it is a fresh list,
-        not ``None``, so the timeout does not read as processed.  A caller
-        that moves the listeners elsewhere must take them before cancelling.
-        Cancelling a timeout that has already fired does nothing: it is no
-        longer on the heap.
-
-        Cancelled entries are counted; once enough accumulate the kernel
-        compacts the heap so long chaos runs stop carrying dead timers.
+        The callbacks are released too, or the cancelled timer would pin
+        the finished race (the condition, the sub-process, its frames and
+        its result) for as long as anything holds the timer.  The list is
+        rebound, not cleared in place, so a caller that took the old list
+        keeps it, and it is a fresh list, not ``None``, so the timeout does
+        not read as processed.  A caller that moves the listeners elsewhere
+        must take them before cancelling.  Cancelling a timeout that has
+        already fired does nothing: it is no longer on the heap.
         """
         if not self._cancelled and self.callbacks is not None:
             self._cancelled = True
             self.callbacks = []
-            self.sim._note_cancelled()
+            self.sim._withdraw(self)
 
     def __repr__(self) -> str:
         state = " cancelled" if self._cancelled else ""
@@ -224,7 +220,7 @@ class AbsoluteTimeout(Timeout):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", when: float, value: Any = None):  # noqa: F821
-        if when < sim._now:
+        if not when >= sim._now:  # also rejects NaN
             raise SimulationError(
                 f"absolute timeout in the past ({when} < {sim._now})")
         self.sim = sim

@@ -7,11 +7,9 @@ fully deterministic.
 The pending structure is one binary heap (``heapq``) of ``(when, seq,
 event, scheduled_at)`` tuples, drained in ``(when, seq)`` order.  It holds
 only live work: a popped entry is gone, and a cancelled timer
-(:meth:`~repro.sim.events.Timeout.cancel`) drops its callbacks at once, so
-the entry that waits for the head (or for a compaction) pins nothing but
-the timer itself.  On the registry the heap never holds more than about
-520 entries, nearly all of them cancelled deadline timers, so a push costs
-about nine comparisons.
+(:meth:`~repro.sim.events.Timeout.cancel`) leaves the heap at once.  On the
+registry the heap never holds more than a few dozen entries, so a push or
+a pop costs about five comparisons and a cancel's linear search is short.
 
 Passing ``sanitize=True`` (or setting ``REPRO_SANITIZE=1`` in the
 environment) arms the runtime sanitizer: non-monotonic clock advances,
@@ -19,26 +17,21 @@ double-triggered events, leaked resource slots and deadlocked waiters then
 raise :class:`~repro.sim.events.SanitizerError` with a diagnostic naming
 the offending processes.  See :mod:`repro.sim.sanitizer`.
 
-The loop also keeps cheap occupancy statistics (events processed, cancelled
-timers discarded, pending high-water mark, compactions) that the profiling
-harness (``python -m repro profile``) reads via
-:func:`kernel_stats`.
+The loop also keeps cheap occupancy statistics (events processed, timers
+withdrawn, pending high-water mark) that the profiling harness
+(``python -m repro profile``) reads via :func:`kernel_stats`.
 """
 
 from __future__ import annotations
 
 import os
-from heapq import heapify, heappop, heappush
+from heapq import _siftdown, _siftup, heappop, heappush
 from typing import Any, Dict, Generator, Optional
 
 from repro.sim.events import Event, SimulationError, Timeout
 from repro.sim.events import _PENDING as _EVENT_PENDING
 from repro.sim.process import Process
 from repro.sim.sanitizer import Sanitizer
-
-#: Cancelled-entry compaction: rebuild the pending structure once at least
-#: this many cancelled timers are outstanding *and* they make up half of it.
-_COMPACT_MIN = 512
 
 #: Process-wide kernel counters, summed over every Simulator as its run
 #: loop exits (the profiling harness resets/reads these around a workload).
@@ -48,7 +41,7 @@ _STATS: Dict[str, int] = {}
 def reset_kernel_stats() -> None:
     """Zero the process-wide kernel counters (see :func:`kernel_stats`)."""
     _STATS.update(simulators=0, events_processed=0, events_scheduled=0,
-                  cancelled_discarded=0, compactions=0, heap_high_water=0,
+                  cancelled_discarded=0, heap_high_water=0,
                   wheel_overflow=0)
 
 
@@ -56,8 +49,8 @@ def kernel_stats() -> Dict[str, int]:
     """Process-wide kernel counters accumulated since the last reset.
 
     ``events_scheduled`` counts schedule calls, ``events_processed`` counts
-    entries whose callbacks ran, ``cancelled_discarded`` counts withdrawn
-    timers dropped (at the head or by compaction), and ``heap_high_water``
+    entries whose callbacks ran, ``cancelled_discarded`` counts cancelled
+    timers withdrawn from the heap, and ``heap_high_water``
     is the largest pending-entry count observed (sampled every 256 events,
     so it is a close lower bound, not an exact maximum).
 
@@ -89,12 +82,9 @@ class Simulator:
         #: event would have fired before or after a timer the fast path
         #: never minted.
         self._active_sched_time: Optional[float] = None
-        #: Cancelled timers still pending (compaction trigger).
-        self._ncancelled: int = 0
-        #: Per-simulator counters mirrored into the module totals on drain.
+        #: Per-simulator counters, mirrored into the module totals.
         self.events_processed: int = 0
         self.cancelled_discarded: int = 0
-        self.compactions: int = 0
         self.heap_high_water: int = 0
         self._flushed_seq: int = 0
         #: Runtime invariant checker; ``None`` unless sanitize mode is on.
@@ -129,7 +119,7 @@ class Simulator:
     # ------------------------------------------------------------ scheduling
     def _enqueue(self, delay: float, event: Event) -> None:
         """Schedule a triggered event ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past ({delay})")
         self._seq += 1
         heappush(self._heap, (self._now + delay, self._seq, event, self._now))
@@ -141,7 +131,7 @@ class Simulator:
         round-trip, so a re-armed timer lands *exactly* on a previously
         computed fold boundary (float addition is not associative).
         """
-        if when < self._now:
+        if not when >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule into the past ({when} < {self._now})")
         self._seq += 1
@@ -155,36 +145,25 @@ class Simulator:
         """
         heappush(self._heap, entry)
 
-    def _quiet_at(self, now: float) -> bool:
-        """True when no pending entry (cancelled included) is due at or
-        before ``now`` — the CPU scheduler's ceremony-elision guard."""
+    def _withdraw(self, event: Event) -> None:
+        """Remove ``event``'s pending entry (for :meth:`Timeout.cancel`).
+
+        The heap is small, so a linear search by identity finds the entry;
+        the last entry takes its slot and is sifted into place.  Keys
+        ``(when, seq)`` are unique, so the pop order of the remaining
+        entries does not depend on the heap's shape.
+        """
         heap = self._heap
-        return not heap or heap[0][0] > now
-
-    def _pending_count(self) -> int:
-        """Number of pending entries (cancelled included)."""
-        return len(self._heap)
-
-    def _note_cancelled(self) -> None:
-        """Bookkeeping for :meth:`Timeout.cancel`; may trigger compaction."""
-        n = self._ncancelled + 1
-        self._ncancelled = n
-        if n >= _COMPACT_MIN and n + n >= len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries from the heap (in place: the run loop
-        holds a reference to it)."""
-        heap = self._heap
-        live = [entry for entry in heap if not entry[2]._cancelled]
-        removed = len(heap) - len(live)
-        heap[:] = live
-        heapify(heap)
-        self._ncancelled = 0
-        self.compactions += 1
-        self.cancelled_discarded += removed
-        _STATS["compactions"] += 1
-        _STATS["cancelled_discarded"] += removed
+        for index, entry in enumerate(heap):
+            if entry[2] is event:
+                last = heap.pop()
+                if index < len(heap):
+                    heap[index] = last
+                    _siftup(heap, index)
+                    _siftdown(heap, 0, index)
+                self.cancelled_discarded += 1
+                _STATS["cancelled_discarded"] += 1
+                return
 
     # ---------------------------------------------------------------- runner
     def _drain(self, until: Optional[float] = None,
@@ -203,7 +182,6 @@ class Simulator:
         pending = _EVENT_PENDING
         bounded = wait is not None or until is not None
         processed = 0
-        discarded = 0
         high_water = self.heap_high_water
         try:
             while heap:
@@ -213,9 +191,6 @@ class Simulator:
                     if until is not None and heap[0][0] > until:
                         return True
                 when, _, event, scheduled_at = pop(heap)
-                if event._cancelled:
-                    discarded += 1
-                    continue
                 if sanitizer is not None and when < self._now:
                     raise sanitizer.non_monotonic_error(when)
                 self._now = when
@@ -235,12 +210,9 @@ class Simulator:
         finally:
             self._active_sched_time = None
             self.events_processed += processed
-            self.cancelled_discarded += discarded
-            self._ncancelled = max(0, self._ncancelled - discarded)
             if high_water > self.heap_high_water:
                 self.heap_high_water = high_water
             _STATS["events_processed"] += processed
-            _STATS["cancelled_discarded"] += discarded
             _STATS["events_scheduled"] += self._seq - self._flushed_seq
             self._flushed_seq = self._seq
             if high_water > _STATS["heap_high_water"]:
@@ -255,7 +227,7 @@ class Simulator:
         outlives every event must not hide leaked waiters).
         """
         if until is not None:
-            if until < self._now:
+            if not until >= self._now:  # also rejects NaN
                 raise SimulationError(
                     f"until={until} is in the past (now={self._now})")
             bounded = self._drain(until=until)
@@ -283,13 +255,7 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')`` if none."""
         heap = self._heap
-        while heap and heap[0][2]._cancelled:
-            heappop(heap)
-            self.cancelled_discarded += 1
-            _STATS["cancelled_discarded"] += 1
-            if self._ncancelled:
-                self._ncancelled -= 1
         return heap[0][0] if heap else float("inf")
 
     def __repr__(self) -> str:
-        return f"<Simulator now={self._now} pending={self._pending_count()}>"
+        return f"<Simulator now={self._now} pending={len(self._heap)}>"

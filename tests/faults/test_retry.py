@@ -154,6 +154,35 @@ def test_policy_validation():
         VReadClientPolicy(reprobe_interval=0)
 
 
+@pytest.mark.parametrize("field", ["attempt_timeout", "read_deadline"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_retry_policy_rejects_bad_timeouts(field, value):
+    with pytest.raises(ValueError, match=field):
+        RetryPolicy(**{field: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -2.0, float("nan")])
+def test_retry_policy_rejects_non_positive_multiplier(value):
+    # A negative multiplier made backoff(1) negative (-0.04 at the
+    # defaults), and the retry loop silently skipped its sleep.
+    with pytest.raises(ValueError, match="backoff_multiplier"):
+        RetryPolicy(backoff_multiplier=value)
+
+
+@pytest.mark.parametrize("field", ["open_timeout", "read_timeout"])
+@pytest.mark.parametrize("value", [0.0, -0.25, float("nan"), float("inf")])
+def test_vread_client_policy_rejects_bad_timeouts(field, value):
+    with pytest.raises(ValueError, match=field):
+        VReadClientPolicy(**{field: value})
+
+
+def test_policies_accept_unbounded_timeouts():
+    policy = RetryPolicy(attempt_timeout=None, read_deadline=None)
+    assert policy.attempt_timeout is None and policy.read_deadline is None
+    client = VReadClientPolicy(open_timeout=None, read_timeout=None)
+    assert client.open_timeout is None and client.read_timeout is None
+
+
 def test_caller_interrupted_mid_race_does_not_crash_the_drain():
     """Regression: a process waiting inside ``call_with_deadline`` is itself
     interrupted (e.g. a daemon crash during a guarded remote read).  The

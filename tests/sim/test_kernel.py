@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Event, SimulationError, Simulator
+from repro.sim.events import AbsoluteTimeout
 
 
 def test_clock_starts_at_zero():
@@ -49,6 +50,34 @@ def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.timeout(-1.0)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("schedule", [
+    lambda sim: sim.timeout(_NAN),
+    lambda sim: AbsoluteTimeout(sim, _NAN),
+    lambda sim: sim.event().succeed(delay=_NAN),
+    lambda sim: sim.event().fail(ValueError("x"), delay=_NAN),
+    lambda sim: sim._enqueue(_NAN, sim.event()),
+    lambda sim: sim.schedule_at(_NAN, sim.event()),
+    lambda sim: sim.run(until=_NAN),
+], ids=["timeout", "absolute", "succeed", "fail", "enqueue", "schedule_at",
+        "run_until"])
+def test_nan_times_rejected(schedule):
+    # NaN fails every comparison, so a ``< 0`` guard let it through: the
+    # entry then fired between ordinary timers and set the clock to NaN.
+    sim = Simulator(sanitize=False)
+    for delay in (3.0, 1.0, 2.0):
+        sim.timeout(delay)
+    with pytest.raises(SimulationError):
+        schedule(sim)
+    fired = []
+    for _ in range(3):
+        sim.run(until=sim.peek())
+        fired.append(sim.now)
+    assert fired == [1.0, 2.0, 3.0]
 
 
 def test_event_succeed_carries_value():

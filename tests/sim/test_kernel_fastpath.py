@@ -1,8 +1,7 @@
-"""Kernel fast paths: absolute timers, lazy compaction, occupancy stats.
+"""Kernel fast paths: absolute timers, cancelled timers, occupancy stats.
 
-Covers the PR 5 allocation-diet machinery: ``schedule_at`` /
-``AbsoluteTimeout`` exactness, cancelled-entry discarding and threshold
-compaction, the process-wide kernel counters behind ``python -m repro
+Covers ``schedule_at`` / ``AbsoluteTimeout`` exactness, the withdrawal of
+cancelled timers, the process-wide kernel counters behind ``python -m repro
 profile``, slotted event classes, and the bounded-``run`` quiescence
 regression (a bounded run that outlives every event must still report
 leaked waiters in sanitize mode).
@@ -12,7 +11,7 @@ import pytest
 
 from repro.sim import Event, Lock, SanitizerError, SimulationError, Simulator
 from repro.sim.events import AbsoluteTimeout, Timeout
-from repro.sim.kernel import _COMPACT_MIN, kernel_stats, reset_kernel_stats
+from repro.sim.kernel import kernel_stats, reset_kernel_stats
 from repro.sim.process import Process
 
 
@@ -66,7 +65,7 @@ def test_absolute_timeout_cancel_is_silent():
     assert sim.now == 0.0  # discarded, clock never advanced to it
 
 
-# ------------------------------------------------------ cancelled-entry diet
+# ------------------------------------------------------- cancelled timers
 def test_peek_skips_cancelled_head():
     sim = Simulator()
     doomed = sim.timeout(1.0)
@@ -86,29 +85,6 @@ def test_cancelled_timers_discarded_not_fired():
     sim.run()
     assert fired == ["keeper"]
     assert sim.cancelled_discarded == 1
-
-
-def test_compaction_triggers_at_threshold():
-    sim = Simulator()
-    timers = [sim.timeout(float(i + 1)) for i in range(2 * _COMPACT_MIN)]
-    assert sim.compactions == 0
-    # Cancel until cancelled entries are >= _COMPACT_MIN and at least half
-    # the heap: the lazy sweep must rebuild in place.
-    for timer in timers[:_COMPACT_MIN + 1]:
-        timer.cancel()
-    assert sim.compactions == 1
-    assert sim.cancelled_discarded >= _COMPACT_MIN
-    assert len(sim._heap) < 2 * _COMPACT_MIN
-    sim.run()  # survivors still fire in order off the rebuilt heap
-    assert sim.now == 2.0 * _COMPACT_MIN
-
-
-def test_no_compaction_below_threshold():
-    sim = Simulator()
-    timers = [sim.timeout(float(i + 1)) for i in range(64)]
-    for timer in timers[:32]:
-        timer.cancel()
-    assert sim.compactions == 0  # plenty cancelled, but < _COMPACT_MIN
 
 
 # ------------------------------------------------------------ kernel counters

@@ -1,13 +1,13 @@
 """A cancelled timer pins nothing.
 
 Deadline timers (``call_with_deadline``) are cancelled when the guarded
-operation wins the race, but their heap entries stay pending until they
-reach the head or a compaction.  Cancelling must release the timer's
-callbacks at once, or each pending entry keeps the finished race alive:
+operation wins the race.  Cancelling withdraws the timer's heap entry and
+releases its callbacks at once, so nothing keeps the finished race alive:
 the ``AnyOf``, the sub-process, its frames and its result.  The CPU
 scheduler's demotion cancels a whole-burst timer too, and must move the
 listeners to the replacement before it does; that run is checked against
-the sliced reference, which ``Simulator(sanitize=True)`` selects.
+the sliced reference, which ``Simulator(sanitize=True)`` selects.  A
+finished burst must not pin its process either.
 """
 
 import gc
@@ -19,6 +19,7 @@ from repro.hostmodel.costs import CostModel
 from repro.hostmodel.cpu import CpuScheduler
 from repro.metrics.accounting import CpuAccounting
 from repro.sim import Simulator
+from repro.sim.events import Timeout
 
 
 class _Result:
@@ -42,9 +43,11 @@ def test_cancelled_deadline_timer_pins_no_finished_subprocess():
         refs.append(weakref.ref(result))
 
     sim.run_until_complete(sim.process(caller()))
-    # The won race cancelled its 30 s deadline timer, which is still
-    # waiting on the heap.
-    assert sim._pending_count() > 0
+    # The won race cancelled its 30 s deadline timer, which left the heap
+    # at once: no timer is pending, and only the caller's own completion
+    # is still queued.
+    assert sim.cancelled_discarded == 1
+    assert not any(isinstance(entry[2], Timeout) for entry in sim._heap)
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
 
@@ -57,8 +60,8 @@ def test_sequential_deadline_ops_do_not_accumulate_results():
         return bytearray(64 * 1024)
 
     def caller():
-        # 2,000 ops take 2 simulated seconds: every 30 s deadline timer
-        # is still pending (until compaction) when the next op starts.
+        # 2,000 ops take 2 simulated seconds, far inside each op's 30 s
+        # deadline: every race is won and its timer cancelled.
         for _ in range(2000):
             yield from call_with_deadline(sim, op(), 30.0)
 
@@ -68,9 +71,11 @@ def test_sequential_deadline_ops_do_not_accumulate_results():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Pinned results would hold up to 512 x 64 KiB = 32 MiB before the
-    # first compaction.
+    # Results pinned by their deadline timers would hold up to 2,000 x
+    # 64 KiB = 125 MiB.
     assert peak < 4 * 1024 * 1024
+    assert sim.cancelled_discarded == 2000
+    assert not any(isinstance(entry[2], Timeout) for entry in sim._heap)
 
 
 def test_cancelling_a_fired_timeout_is_a_no_op():
@@ -79,12 +84,14 @@ def test_cancelling_a_fired_timeout_is_a_no_op():
     sim.run()
     assert timer.processed
     # A late cancel (the deadline fired before the guarded op finished)
-    # must neither make the timer read as pending again nor count an entry
-    # that is no longer on the heap.
+    # must neither make the timer read as pending again nor withdraw an
+    # entry that is no longer on the heap.
+    later = sim.timeout(1.0)
     timer.cancel()
     assert timer.processed
     assert not timer._cancelled
-    assert sim._ncancelled == 0
+    assert sim.cancelled_discarded == 0
+    assert [entry[2] for entry in sim._heap] == [later]
 
 
 def _demoted_burst_run(sanitize):
@@ -133,3 +140,24 @@ def test_demoted_burst_timer_releases_callbacks_and_owner_resumes():
     assert timer._cancelled
     assert timer.callbacks == []
     assert not timer.processed
+
+
+def test_finished_burst_pins_no_process():
+    sim = Simulator(sanitize=False)
+    sched = CpuScheduler(sim, 1, 1e9, CpuAccounting(), CostModel())
+    thread = sched.thread("t")
+    refs = []
+
+    def worker():
+        yield from thread.run(2_500_000, "work")  # several slices
+
+    generator = worker()
+    refs.append(weakref.ref(generator))
+    sim.process(generator)
+    del generator
+    sim.run()
+    # The scheduler keeps no state of the finished burst: nothing in
+    # flight, and the burst's process and generator can be collected.
+    assert sched._inflight == []
+    gc.collect()
+    assert refs[0]() is None
