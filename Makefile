@@ -1,6 +1,6 @@
 # Convenience targets for the vRead reproduction.
 
-.PHONY: install test lint analyze chaos bench bench-smoke paper-benches kernel-smoke reference-check load-smoke storage-smoke churn-smoke profile bench-tables report paper-report quick-report demo clean
+.PHONY: install test lint chaos bench bench-smoke paper-benches kernel-smoke reference-check load-smoke storage-smoke churn-smoke profile bench-tables report paper-report quick-report demo clean
 
 install:
 	python setup.py develop
@@ -10,13 +10,6 @@ test:
 
 lint:
 	PYTHONPATH=src python -m repro.analysis src/repro
-
-# Whole-program analysis (per-module rules + cross-module taint/flow),
-# gated on the committed baseline, with the incremental cache warm.
-analyze:
-	PYTHONPATH=src python -m repro.analysis src/repro \
-		--baseline .simlint-baseline.json \
-		--cache .simlint-cache.json --stats
 
 chaos:
 	PYTHONPATH=src python -m pytest tests/faults -q
@@ -45,15 +38,22 @@ kernel-smoke:
 # Every registry experiment at quick, once on the fast paths with sweeps
 # fanned out over two workers and once serially under REPRO_SANITIZE=1
 # (the sliced CPU reference): the canonical JSON of the two runs must be
-# byte-identical, which also holds every sweep to --jobs identity.
+# byte-identical, which also holds every sweep to --jobs identity.  The
+# sha256 of each fast run's canonical JSON must also equal its seed-0
+# digest in benchmarks/e2e/pins.json (the "suite-quick" pins).
 REFERENCE_DIR ?= .reference-check
 reference-check:
 	@mkdir -p $(REFERENCE_DIR)
 	@names=$$(PYTHONPATH=src python -c "from repro.experiments import registry; print(' '.join(s.name for s in registry.specs(None)))"); \
-	total=0; same=0; \
+	total=0; same=0; pinned=0; \
 	for exp in $$names; do \
 		total=$$((total + 1)); \
 		PYTHONPATH=src python -m repro run $$exp --quick --jobs 2 --json $(REFERENCE_DIR)/$$exp.fast.json > /dev/null || exit 1; \
+		if python -c 'import hashlib, json, sys; pin = json.load(open("benchmarks/e2e/pins.json"))["suite-quick"][sys.argv[1]]["digest"]; text = json.dumps(json.load(open(sys.argv[2])), sort_keys=True, separators=(",", ":")); sys.exit(hashlib.sha256(text.encode()).hexdigest() != pin)' $$exp $(REFERENCE_DIR)/$$exp.fast.json; then \
+			pinned=$$((pinned + 1)); \
+		else \
+			echo "UNPINNED   $$exp (digest differs from benchmarks/e2e/pins.json)"; \
+		fi; \
 		REPRO_SANITIZE=1 PYTHONPATH=src python -m repro run $$exp --quick --json $(REFERENCE_DIR)/$$exp.reference.json > /dev/null || exit 1; \
 		if cmp -s $(REFERENCE_DIR)/$$exp.fast.json $(REFERENCE_DIR)/$$exp.reference.json; then \
 			same=$$((same + 1)); echo "identical  $$exp"; \
@@ -61,8 +61,8 @@ reference-check:
 			echo "DIFFERENT  $$exp"; \
 		fi; \
 	done; \
-	echo "reference-check: $$same/$$total identical"; \
-	test $$same -eq $$total
+	echo "reference-check: $$same/$$total identical, $$pinned/$$total match their pinned digest"; \
+	test $$same -eq $$total && test $$pinned -eq $$total
 
 # Subsystem smokes: the load, tiered-storage and elastic-membership
 # suites, including their determinism and memory-flatness gates.

@@ -13,9 +13,8 @@ This package makes those conventions machine-checked:
   flow-aware yield-discipline passes (:mod:`repro.analysis.taint`) that
   report full call chains — ``proc -> helper -> time.time`` with
   file:line at every hop;
-* findings **baselines** (:mod:`repro.analysis.baseline`) so CI gates on
-  *new* findings only, JSON/SARIF emitters (:mod:`repro.analysis.emit`),
-  and a content-hash incremental cache (:mod:`repro.analysis.cache`);
+* one pass over the tree, :func:`~repro.analysis.runner.analyze_paths`
+  (:mod:`repro.analysis.runner`);
 * a CLI — ``python -m repro.analysis src/repro`` — with stable exit
   codes ``0`` clean / ``1`` findings / ``2`` error
   (:mod:`repro.analysis.cli`);
@@ -28,7 +27,6 @@ detector — live in :mod:`repro.sim.sanitizer`
 (``Simulator(sanitize=True)``).  See ``docs/static_analysis.md``.
 """
 
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.callgraph import CallGraph, ModuleSummary, extract_module
 from repro.analysis.core import (
     LintContext,
@@ -41,19 +39,14 @@ from repro.analysis.core import (
 from repro.analysis.pragmas import PragmaIndex
 from repro.analysis.runner import (
     AnalysisResult,
-    AnalyzerStats,
     analyze_paths,
     discover_files,
-    lint_file,
-    lint_paths,
     lint_source,
 )
 from repro.analysis.taint import WHOLE_PROGRAM_RULES, run_flow, run_taint
 
 __all__ = [
-    "AnalysisCache",
     "AnalysisResult",
-    "AnalyzerStats",
     "CallGraph",
     "LintContext",
     "ModuleSummary",
@@ -65,8 +58,6 @@ __all__ = [
     "create_rules",
     "discover_files",
     "extract_module",
-    "lint_file",
-    "lint_paths",
     "lint_source",
     "register",
     "registered_rules",

@@ -1,12 +1,10 @@
 """Project-wide import and call graphs for the whole-program passes.
 
 Per-module extraction (:func:`extract_module`) reduces one parsed source
-file to a JSON-serializable :class:`ModuleSummary` — function definitions,
-resolved-as-far-as-locally-possible call targets, direct impurity/blocking
-sources, process spawns, pragmas, and the module's import aliases.  The
-summaries are what the incremental cache stores, so a cached file never
-needs re-parsing: cross-module *linking* (:class:`CallGraph`) runs purely
-over summaries each run.
+file to a :class:`ModuleSummary` — function definitions, resolved-as-far-
+as-locally-possible call targets, direct impurity/blocking sources,
+process spawns, pragmas, and the module's import aliases.  Cross-module
+*linking* (:class:`CallGraph`) then runs purely over the summaries.
 
 Resolution is deliberately conservative: a call is linked only when its
 target is statically nameable — a local function/class, an imported name
@@ -50,25 +48,6 @@ class FunctionSummary:
     #: call targets handed to ``sim.process(...)`` / ``Process(sim, ...)``.
     spawns: List[Tuple[str, int]] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"qualname": self.qualname, "name": self.name,
-                "lineno": self.lineno, "is_generator": self.is_generator,
-                "class_name": self.class_name,
-                "calls": [[t, l] for t, l in self.calls],
-                "sources": [[k, d, l] for k, d, l in self.sources],
-                "spawns": [[t, l] for t, l in self.spawns]}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FunctionSummary":
-        return cls(qualname=data["qualname"], name=data["name"],
-                   lineno=int(data["lineno"]),
-                   is_generator=bool(data["is_generator"]),
-                   class_name=data.get("class_name"),
-                   calls=[(t, int(l)) for t, l in data.get("calls", ())],
-                   sources=[(k, d, int(l))
-                            for k, d, l in data.get("sources", ())],
-                   spawns=[(t, int(l)) for t, l in data.get("spawns", ())])
-
 
 @dataclass
 class ClassSummary:
@@ -76,16 +55,6 @@ class ClassSummary:
     bases: List[str] = field(default_factory=list)
     #: method name -> function qualname.
     methods: Dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"qualname": self.qualname, "bases": list(self.bases),
-                "methods": dict(self.methods)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ClassSummary":
-        return cls(qualname=data["qualname"],
-                   bases=list(data.get("bases", ())),
-                   methods=dict(data.get("methods", {})))
 
 
 @dataclass
@@ -101,26 +70,6 @@ class ModuleSummary:
     #: modules this one imports (dotted names) — the import graph.
     imports: List[str] = field(default_factory=list)
     pragmas: PragmaIndex = field(default_factory=lambda: PragmaIndex(""))
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"path": self.path, "modname": self.modname,
-                "functions": {q: f.to_dict()
-                              for q, f in self.functions.items()},
-                "classes": {q: c.to_dict() for q, c in self.classes.items()},
-                "exports": dict(self.exports),
-                "imports": list(self.imports),
-                "pragmas": self.pragmas.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ModuleSummary":
-        return cls(path=data["path"], modname=data["modname"],
-                   functions={q: FunctionSummary.from_dict(f)
-                              for q, f in data.get("functions", {}).items()},
-                   classes={q: ClassSummary.from_dict(c)
-                            for q, c in data.get("classes", {}).items()},
-                   exports=dict(data.get("exports", {})),
-                   imports=list(data.get("imports", ())),
-                   pragmas=PragmaIndex.from_dict(data.get("pragmas", {})))
 
 
 # ----------------------------------------------------------- module naming

@@ -9,7 +9,6 @@ suite discover them by name; per-line ``# simlint: disable=<rule>`` pragmas
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
@@ -37,34 +36,6 @@ class Violation:
                              for symbol, path, line in self.chain)
             text += "\n" + hops
         return text
-
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Line numbers are deliberately excluded so unrelated edits above a
-        finding do not churn the baseline; chained findings key on the
-        symbols along the path, per-module findings on the message text.
-        """
-        anchor = ("->".join(symbol for symbol, _, _ in self.chain)
-                  if self.chain else self.message)
-        digest = hashlib.sha256(
-            f"{self.rule}|{self.path}|{anchor}".encode("utf-8")).hexdigest()
-        return digest[:20]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"path": self.path, "line": self.line, "col": self.col,
-                "rule": self.rule, "message": self.message,
-                "fingerprint": self.fingerprint(),
-                "chain": [[symbol, path, line]
-                          for symbol, path, line in self.chain]}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Violation":
-        return cls(path=str(data["path"]), line=int(data["line"]),
-                   col=int(data["col"]), rule=str(data["rule"]),
-                   message=str(data["message"]),
-                   chain=tuple((str(s), str(p), int(l))
-                               for s, p, l in data.get("chain", ())))
 
 
 @dataclass

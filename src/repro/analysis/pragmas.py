@@ -92,26 +92,6 @@ class PragmaIndex:
         """True if ``rule`` is suppressed for the whole file."""
         return rule in self._file_wide or "all" in self._file_wide
 
-    # ------------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (used by the incremental cache)."""
-        return {
-            "by_line": {str(line): sorted(rules)
-                        for line, rules in self._by_line.items()},
-            "file_wide": sorted(self._file_wide),
-            "mentions": [[line, rule] for line, rule in self.mentions],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PragmaIndex":
-        index = cls("")
-        index._by_line = {int(line): set(rules)
-                          for line, rules in data.get("by_line", {}).items()}
-        index._file_wide = set(data.get("file_wide", ()))
-        index.mentions = [(int(line), str(rule))
-                          for line, rule in data.get("mentions", ())]
-        return index
-
 
 def unknown_pragma_mentions(index: PragmaIndex,
                             known: Iterable[str]) -> List[Tuple[int, str]]:

@@ -1,15 +1,12 @@
 """File discovery and analysis orchestration for simlint.
 
-Two layers:
-
-* the original per-module API — :func:`lint_source` / :func:`lint_file` /
-  :func:`lint_paths` — which runs the registered AST rules over one module
-  at a time (plus ``unknown-pragma`` validation of suppression comments);
-* the whole-program API — :func:`analyze_paths` — which additionally
-  extracts a :class:`~repro.analysis.callgraph.ModuleSummary` per file,
-  links the project-wide call graph, and runs the interprocedural
-  taint/flow families, with optional content-hash incremental caching
-  (:mod:`repro.analysis.cache`) so unchanged files are never re-parsed.
+:func:`analyze_paths` is the one pass: each file goes through
+:func:`lint_module` — parse, extract its
+:class:`~repro.analysis.callgraph.ModuleSummary`, run the per-module AST
+rules, filter by pragma, flag ``unknown-pragma`` mentions — and the
+summaries are then linked into the project-wide call graph for the
+interprocedural taint/flow families.  :func:`lint_source` runs the same
+per-module routine over one source string.
 """
 
 from __future__ import annotations
@@ -17,210 +14,100 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.cache import AnalysisCache, content_hash
 from repro.analysis.callgraph import ModuleSummary, extract_module
 from repro.analysis.core import LintContext, Rule, Violation, registered_rules
 from repro.analysis.imports import collect_aliases
-from repro.analysis.pragmas import PragmaIndex, unknown_pragma_mentions
+from repro.analysis.pragmas import unknown_pragma_mentions
+from repro.analysis.rules import default_rules
+from repro.analysis.taint import WHOLE_PROGRAM_RULES, run_whole_program
 
 
 def discover_files(paths: Sequence[str]) -> List[str]:
     """Expand files/directories into a sorted list of unique ``.py`` files.
 
-    Overlapping inputs (``src`` *and* ``src/repro``) and files reachable
-    through several symlinks are deduplicated by real path; symlinked
-    directory cycles are pruned during the walk.  The result preserves
-    sorted order over the paths as given.
+    Directories are walked without following symlinks; a file named
+    explicitly is taken as given, whatever its extension.
     """
-    found: List[str] = []
-    seen_files: Set[str] = set()
+    found: Set[str] = set()
     for path in paths:
         if os.path.isdir(path):
-            visited_dirs: Set[str] = {os.path.realpath(path)}
-            for root, dirs, files in os.walk(path, followlinks=True):
-                pruned = []
-                for d in sorted(dirs):
-                    if d == "__pycache__":
-                        continue
-                    real = os.path.realpath(os.path.join(root, d))
-                    if real in visited_dirs:
-                        continue  # symlink cycle or already-walked dir
-                    visited_dirs.add(real)
-                    pruned.append(d)
-                dirs[:] = pruned
-                for f in sorted(files):
-                    if not f.endswith(".py"):
-                        continue
-                    full = os.path.join(root, f)
-                    real = os.path.realpath(full)
-                    if real in seen_files:
-                        continue
-                    seen_files.add(real)
-                    found.append(full)
+            for root, dirs, files in os.walk(path):
+                dirs[:] = [d for d in dirs if d != "__pycache__"]
+                found.update(os.path.join(root, f)
+                             for f in files if f.endswith(".py"))
         elif os.path.isfile(path):
-            real = os.path.realpath(path)
-            if real not in seen_files:
-                seen_files.add(real)
-                found.append(path)
+            found.add(path)
         else:
             raise FileNotFoundError(path)
     return sorted(found)
 
 
-# ------------------------------------------------------------ per-module API
 def known_rule_names(rules: Iterable[Rule] = ()) -> Set[str]:
     """Every rule name a pragma may legitimately reference."""
-    from repro.analysis.taint import WHOLE_PROGRAM_RULES
     names = set(registered_rules()) | set(WHOLE_PROGRAM_RULES)
     names.update(rule.name for rule in rules)
     names.update({"syntax-error", "unknown-pragma"})
     return names
 
 
-def _unknown_pragma_violations(path: str, pragmas: PragmaIndex,
-                               known: Set[str]) -> List[Violation]:
-    return [Violation(path=path, line=line, col=1, rule="unknown-pragma",
-                      message=(f"pragma disables unknown rule {rule!r}; "
-                               f"it suppresses nothing (see --list-rules)"))
-            for line, rule in unknown_pragma_mentions(pragmas, known)]
+def lint_module(path: str, source: str, rules: Sequence[Rule],
+                known: Set[str]
+                ) -> Tuple[Optional[ModuleSummary], List[Violation]]:
+    """Parse one module and run the per-module rules over it.
+
+    Returns the module's summary (``None`` on a syntax error) and its
+    pragma-filtered violations, ``unknown-pragma`` warnings included.
+    """
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return None, [Violation(path=path, line=exc.lineno or 0,
+                                col=(exc.offset or 0) or 1,
+                                rule="syntax-error", message=str(exc.msg))]
+    ctx = LintContext(path=path, source=source, tree=tree,
+                      aliases=collect_aliases(tree))
+    summary = extract_module(path, source, tree)
+    pragmas = summary.pragmas
+    violations = [v for rule in rules for v in rule.check(ctx)
+                  if not pragmas.is_disabled(v.line, v.rule)]
+    violations.extend(
+        Violation(path=path, line=line, col=1, rule="unknown-pragma",
+                  message=(f"pragma disables unknown rule {rule!r}; "
+                           f"it suppresses nothing (see --list-rules)"))
+        for line, rule in unknown_pragma_mentions(pragmas, known))
+    return summary, violations
 
 
 def lint_source(source: str, rules: Iterable[Rule],
                 path: str = "<string>") -> List[Violation]:
     """Lint one module's source text; returns pragma-filtered violations."""
     rules = list(rules)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [Violation(path=path, line=exc.lineno or 0,
-                          col=(exc.offset or 0) or 1, rule="syntax-error",
-                          message=str(exc.msg))]
-    ctx = LintContext(path=path, source=source, tree=tree,
-                      aliases=collect_aliases(tree))
-    pragmas = PragmaIndex(source, tree=tree)
-    violations = [v for rule in rules for v in rule.check(ctx)
-                  if not pragmas.is_disabled(v.line, v.rule)]
-    violations.extend(_unknown_pragma_violations(
-        path, pragmas, known_rule_names(rules)))
+    _, violations = lint_module(path, source, rules, known_rule_names(rules))
     return sorted(violations)
-
-
-def lint_file(path: str, rules: Iterable[Rule]) -> List[Violation]:
-    with open(path, encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, rules, path=path)
-
-
-def lint_paths(paths: Sequence[str],
-               rules: Optional[Iterable[Rule]] = None) -> List[Violation]:
-    """Lint every ``.py`` file under ``paths`` with ``rules`` (default: all)."""
-    if rules is None:
-        from repro.analysis.rules import default_rules
-        rules = default_rules()
-    rules = list(rules)
-    violations: List[Violation] = []
-    for path in discover_files(paths):
-        violations.extend(lint_file(path, rules))
-    return violations
-
-
-# --------------------------------------------------------- whole-program API
-@dataclass
-class AnalyzerStats:
-    """Counters for one :func:`analyze_paths` run (cache behaviour, size)."""
-
-    files: int = 0
-    parsed: int = 0
-    cache_hits: int = 0
-    functions: int = 0
-    call_edges: int = 0
-    entry_points: int = 0
-    baseline_suppressed: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return {"files": self.files, "parsed": self.parsed,
-                "cache_hits": self.cache_hits,
-                "functions": self.functions,
-                "call_edges": self.call_edges,
-                "entry_points": self.entry_points,
-                "baseline_suppressed": self.baseline_suppressed}
 
 
 @dataclass
 class AnalysisResult:
     violations: List[Violation] = field(default_factory=list)
     modules: List[ModuleSummary] = field(default_factory=list)
-    stats: AnalyzerStats = field(default_factory=AnalyzerStats)
 
 
 def analyze_paths(paths: Sequence[str],
-                  rules: Optional[Iterable[Rule]] = None, *,
-                  whole_program: bool = True,
-                  cache: Optional[AnalysisCache] = None) -> AnalysisResult:
-    """Run per-module rules and the whole-program passes over ``paths``.
-
-    With ``cache`` given, files whose content hash matches the cache are
-    loaded without re-parsing; the caller is responsible for
-    :meth:`~repro.analysis.cache.AnalysisCache.save`.
-    """
-    if rules is None:
-        from repro.analysis.rules import default_rules
-        rules = default_rules()
-    rules = list(rules)
+                  rules: Optional[Iterable[Rule]] = None) -> AnalysisResult:
+    """Run per-module rules and the whole-program passes over ``paths``."""
+    rules = default_rules() if rules is None else list(rules)
     known = known_rule_names(rules)
     result = AnalysisResult()
-    files = discover_files(paths)
-    result.stats.files = len(files)
-
-    for path in files:
+    for path in discover_files(paths):
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
-        digest = content_hash(source)
-        cached = cache.get(path, digest) if cache is not None else None
-        if cached is not None:
-            summary, violations = cached
-            result.stats.cache_hits += 1
-        else:
-            result.stats.parsed += 1
-            try:
-                tree = ast.parse(source, filename=path)
-            except SyntaxError as exc:
-                result.violations.append(Violation(
-                    path=path, line=exc.lineno or 0,
-                    col=(exc.offset or 0) or 1, rule="syntax-error",
-                    message=str(exc.msg)))
-                continue
-            ctx = LintContext(path=path, source=source, tree=tree,
-                              aliases=collect_aliases(tree))
-            summary = extract_module(path, source, tree)
-            pragmas = summary.pragmas
-            violations = sorted(
-                v for rule in rules for v in rule.check(ctx)
-                if not pragmas.is_disabled(v.line, v.rule))
-            if cache is not None:
-                cache.put(path, digest, summary, violations)
-        result.modules.append(summary)
+        summary, violations = lint_module(path, source, rules, known)
+        if summary is not None:
+            result.modules.append(summary)
         result.violations.extend(violations)
-        # Unknown-pragma warnings are regenerated from cached mentions so
-        # a rule-set change never requires a cache invalidation.
-        result.violations.extend(
-            _unknown_pragma_violations(path, summary.pragmas, known))
-
-    if cache is not None:
-        cache.prune(files)
-
-    if whole_program and result.modules:
-        from repro.analysis.callgraph import CallGraph
-        from repro.analysis.taint import run_flow, run_taint
-        graph = CallGraph(result.modules)
-        result.stats.functions = len(graph.functions)
-        result.stats.call_edges = sum(
-            len(edges) for edges in graph.edges.values())
-        result.stats.entry_points = len(graph.entry_points())
-        result.violations.extend(run_taint(graph))
-        result.violations.extend(run_flow(graph))
+    result.violations.extend(run_whole_program(result.modules))
 
     result.violations.sort()
     return result

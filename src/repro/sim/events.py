@@ -102,6 +102,10 @@ class Event:
         """Trigger the event successfully with ``value`` after ``delay``."""
         if self._value is not _PENDING:
             raise self._already_triggered_error()
+        # Check the delay before any state changes: a rejected call must
+        # leave the event pending.
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"cannot schedule into the past ({delay})")
         self._ok = True
         self._value = value
         # Inlined _note_trigger + Simulator._enqueue: succeed() fires for
@@ -111,8 +115,6 @@ class Event:
         sanitizer = sim.sanitizer
         if sanitizer is not None:
             sanitizer.note_trigger(self)
-        if not delay >= 0:  # also rejects NaN
-            raise SimulationError(f"cannot schedule into the past ({delay})")
         sim._seq += 1
         heappush(sim._heap, (sim._now + delay, sim._seq, self, sim._now))
         return self
@@ -123,10 +125,12 @@ class Event:
             raise SimulationError(f"fail() needs an exception, got {exception!r}")
         if self._value is not _PENDING:
             raise self._already_triggered_error()
+        # _enqueue checks the delay; it goes first so a rejected call
+        # leaves the event pending.
+        self.sim._enqueue(delay, self)
         self._ok = False
         self._value = exception
         self._note_trigger()
-        self.sim._enqueue(delay, self)
         return self
 
     def trigger(self, event: "Event") -> None:

@@ -58,7 +58,7 @@ class Resource:
 
     def __init__(self, sim: "Simulator", capacity: int = 1,  # noqa: F821
                  name: Optional[str] = None):
-        if capacity < 1:
+        if not capacity >= 1:  # also rejects NaN
             raise SimulationError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
@@ -163,7 +163,7 @@ class Store:
     """
 
     def __init__(self, sim: "Simulator", capacity: float = float("inf")):  # noqa: F821
-        if capacity <= 0:
+        if not capacity > 0:  # also rejects NaN
             raise SimulationError(f"capacity must be positive, got {capacity}")
         self.sim = sim
         self.capacity = capacity
@@ -236,7 +236,7 @@ class Container:
 
     def __init__(self, sim: "Simulator", capacity: float = float("inf"),  # noqa: F821
                  init: float = 0.0):
-        if capacity <= 0:
+        if not capacity > 0:  # also rejects NaN
             raise SimulationError("capacity must be positive")
         if not 0 <= init <= capacity:
             raise SimulationError("init must be within [0, capacity]")
@@ -251,7 +251,7 @@ class Container:
         return self._level
 
     def put(self, amount: float) -> Event:
-        if amount <= 0:
+        if not amount > 0:  # also rejects NaN
             raise SimulationError("put amount must be positive")
         if amount > self.capacity:
             raise SimulationError("put amount exceeds container capacity")
@@ -261,7 +261,7 @@ class Container:
         return event
 
     def get(self, amount: float) -> Event:
-        if amount <= 0:
+        if not amount > 0:  # also rejects NaN
             raise SimulationError("get amount must be positive")
         if amount > self.capacity:
             raise SimulationError("get amount exceeds container capacity")

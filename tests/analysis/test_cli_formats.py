@@ -1,6 +1,5 @@
-"""CLI output formats, exit codes, and the baseline workflow."""
+"""CLI text output, exit codes, and rule selection."""
 
-import json
 import textwrap
 
 from repro.analysis.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
@@ -52,12 +51,6 @@ def test_exit_two_on_unknown_rule(tmp_path, capsys):
     assert main([path, "--select", "no-such-rule", "-q"]) == EXIT_ERROR
 
 
-def test_exit_two_on_update_baseline_without_baseline(tmp_path, capsys):
-    path = _write(tmp_path, CLEAN)
-    assert main([path, "--update-baseline", "-q"]) == EXIT_ERROR
-    assert "--baseline" in capsys.readouterr().err
-
-
 def test_exit_two_on_internal_error(tmp_path, capsys, monkeypatch):
     import repro.analysis.cli as cli_mod
 
@@ -69,7 +62,7 @@ def test_exit_two_on_internal_error(tmp_path, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
-# -------------------------------------------------------------------- formats
+# --------------------------------------------------------------------- output
 def test_text_format_renders_chain(tmp_path, capsys):
     code = main([_write(tmp_path, DIRTY), "-q"])
     out = capsys.readouterr().out
@@ -78,123 +71,19 @@ def test_text_format_renders_chain(tmp_path, capsys):
     assert "time.time" in out
 
 
-def test_json_format_is_parseable_and_has_stats(tmp_path, capsys):
-    code = main([_write(tmp_path, DIRTY), "--format", "json", "-q"])
-    assert code == EXIT_FINDINGS
-    payload = json.loads(capsys.readouterr().out)
-    rules = {v["rule"] for v in payload["findings"]}
-    assert "taint-wallclock" in rules
-    assert payload["stats"]["files"] == 1
-    chained = [v for v in payload["findings"]
-               if v["rule"] == "taint-wallclock"]
-    assert chained[0]["chain"][-1][0] == "time.time"
-
-
-def test_sarif_format_shape(tmp_path, capsys):
-    code = main([_write(tmp_path, DIRTY), "--format", "sarif", "-q"])
-    assert code == EXIT_FINDINGS
-    sarif = json.loads(capsys.readouterr().out)
-    assert sarif["version"] == "2.1.0"
-    run = sarif["runs"][0]
-    assert run["tool"]["driver"]["name"] == "simlint"
-    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    results = run["results"]
-    assert results
-    for result in results:
-        assert result["ruleId"] in rule_ids
-        assert result["locations"][0]["physicalLocation"][
-            "artifactLocation"]["uri"].endswith("mod.py")
-        assert "simlint/v1" in result["fingerprints"]
-    taint = [r for r in results if r["ruleId"] == "taint-wallclock"]
-    assert taint and taint[0]["relatedLocations"]
-
-
-def test_output_file_instead_of_stdout(tmp_path, capsys):
-    out_file = tmp_path / "findings.json"
-    code = main([_write(tmp_path, DIRTY), "--format", "json",
-                 "--output", str(out_file), "-q"])
-    assert code == EXIT_FINDINGS
-    assert capsys.readouterr().out == ""
-    payload = json.loads(out_file.read_text())
-    assert payload["findings"]
-
-
-# ------------------------------------------------------------------- baseline
-def test_baseline_update_then_gate(tmp_path, capsys):
-    path = _write(tmp_path, DIRTY)
-    baseline = str(tmp_path / "baseline.json")
-
-    # Recording the current findings exits clean.
-    assert main([path, "--baseline", baseline,
-                 "--update-baseline", "-q"]) == EXIT_CLEAN
-    # With the baseline in place the same tree is clean.
-    assert main([path, "--baseline", baseline, "-q"]) == EXIT_CLEAN
-
-    # A *new* finding still fails the run.
-    extra = _write(tmp_path, """\
-        import os
-
-        def token():
-            return os.urandom(4)
-
-        def proc(sim):
-            t = token()
-            yield sim.timeout(1)
-        """, name="extra.py")
-    capsys.readouterr()
-    assert main([path, extra, "--baseline", baseline]) == EXIT_FINDINGS
-    captured = capsys.readouterr()
-    assert "taint-entropy" in captured.out
-    assert "taint-wallclock" not in captured.out  # old finding stays hidden
-    assert "suppressed by baseline" in captured.err
-
-
-def test_baseline_is_line_number_insensitive(tmp_path):
-    path = _write(tmp_path, DIRTY)
-    baseline = str(tmp_path / "baseline.json")
-    assert main([path, "--baseline", baseline,
-                 "--update-baseline", "-q"]) == EXIT_CLEAN
-    # Shift everything down a few lines; the fingerprint must still match.
-    shifted = "# a comment\n# another\n\n" + textwrap.dedent(DIRTY)
-    (tmp_path / "mod.py").write_text(shifted)
-    assert main([path, "--baseline", baseline, "-q"]) == EXIT_CLEAN
-
-
-def test_malformed_baseline_is_exit_two(tmp_path, capsys):
-    path = _write(tmp_path, DIRTY)
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text("{broken")
-    assert main([path, "--baseline", str(baseline), "-q"]) == EXIT_ERROR
-
 
 # ---------------------------------------------------------------- selections
 def test_select_whole_program_rule_only(tmp_path, capsys):
     code = main([_write(tmp_path, DIRTY), "--select", "taint-wallclock",
-                 "--format", "json", "-q"])
+                 "-q"])
     assert code == EXIT_FINDINGS
-    payload = json.loads(capsys.readouterr().out)
-    assert {v["rule"] for v in payload["findings"]} == {"taint-wallclock"}
+    headers = [line for line in capsys.readouterr().out.splitlines()
+               if not line.startswith(" ")]
+    assert headers
+    assert {line.split(": ")[1] for line in headers} == {"taint-wallclock"}
 
 
 def test_disable_whole_program_rule(tmp_path, capsys):
     code = main([_write(tmp_path, DIRTY),
                  "--disable", "taint-wallclock,no-wallclock", "-q"])
     assert code == EXIT_CLEAN
-
-
-def test_no_whole_program_skips_taint(tmp_path, capsys):
-    code = main([_write(tmp_path, DIRTY), "--no-whole-program",
-                 "--format", "json", "-q"])
-    payload = json.loads(capsys.readouterr().out)
-    rules = {v["rule"] for v in payload["findings"]}
-    assert "taint-wallclock" not in rules
-    # The direct per-module rule still fires on the naked call.
-    assert code == EXIT_FINDINGS
-    assert "no-wallclock" in rules
-
-
-def test_stats_flag_prints_parse_counts(tmp_path, capsys):
-    assert main([_write(tmp_path, CLEAN), "--stats", "-q"]) == EXIT_CLEAN
-    err = capsys.readouterr().err
-    assert "simlint stats:" in err
-    assert "parsed=1" in err

@@ -139,16 +139,3 @@ def test_unknown_pragma_in_file_disable_reported():
     index = _index("# simlint: disable-file=bogus-rule\n")
     unknown = unknown_pragma_mentions(index, {"no-wallclock"})
     assert (1, "bogus-rule") in unknown
-
-
-def test_pragma_round_trips_through_summary_serialization():
-    index = _index("""\
-        import time
-        t = (time.time()
-             + 1)  # simlint: disable=no-wallclock
-        """)
-    clone = PragmaIndex.from_dict(index.to_dict())
-    assert clone.is_disabled(2, "no-wallclock")
-    assert clone.file_disables("no-wallclock") == index.file_disables(
-        "no-wallclock")
-    assert clone.mentions == index.mentions

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.cli import main
 from repro.analysis.core import create_rules, registered_rules
 from repro.analysis.pragmas import PragmaIndex
-from repro.analysis.runner import lint_paths, lint_source
+from repro.analysis.runner import analyze_paths, lint_source
 import repro.analysis.rules  # noqa: F401 - registers the built-in rules
 from repro.analysis.rules import default_rules
 
@@ -160,5 +160,5 @@ def test_lint_paths_discovers_nested_files(tmp_path):
     pkg.mkdir(parents=True)
     (pkg / "mod.py").write_text("import time\nx = time.time()\n")
     (tmp_path / "pkg" / "__pycache__").mkdir()
-    violations = lint_paths([str(tmp_path)], default_rules())
+    violations = analyze_paths([str(tmp_path)], default_rules()).violations
     assert len(violations) == 1

@@ -4,7 +4,7 @@ import os
 import textwrap
 
 from repro.analysis.rules.unused_imports import UnusedImportRule
-from repro.analysis.runner import lint_paths, lint_source
+from repro.analysis.runner import analyze_paths, lint_source
 
 
 def lint(snippet, path="src/repro/net/widget.py"):
@@ -94,4 +94,4 @@ def test_pragma_keeps_a_side_effect_import():
 def test_package_has_no_unused_imports():
     import repro
     package = os.path.dirname(repro.__file__)
-    assert lint_paths([package], [UnusedImportRule()]) == []
+    assert analyze_paths([package], [UnusedImportRule()]).violations == []

@@ -80,6 +80,31 @@ def test_nan_times_rejected(schedule):
     assert fired == [1.0, 2.0, 3.0]
 
 
+@pytest.mark.parametrize("sanitize", [False, True], ids=["fast", "sanitized"])
+@pytest.mark.parametrize("reject", [
+    lambda ev: ev.succeed("early", delay=-1.0),
+    lambda ev: ev.fail(ValueError("early"), delay=-1.0),
+], ids=["succeed", "fail"])
+def test_rejected_delay_leaves_event_pending(reject, sanitize):
+    # A rejected trigger used to mark the event triggered anyway: the retry
+    # then raised "already triggered" and the waiter never resumed.
+    sim = Simulator(sanitize=sanitize)
+    event = sim.event()
+    woke = []
+
+    def waiter():
+        woke.append((yield event))
+
+    sim.process(waiter())
+    sim.run()
+    with pytest.raises(SimulationError):
+        reject(event)
+    assert not event.triggered
+    event.succeed("late", delay=1.0)
+    sim.run()
+    assert woke == ["late"] and sim.now == 1.0
+
+
 def test_event_succeed_carries_value():
     sim = Simulator()
     event = sim.event()

@@ -248,3 +248,20 @@ def test_container_validation():
         container.put(11)
     with pytest.raises(SimulationError):
         Container(sim, capacity=5, init=6)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda sim: Resource(sim, capacity=_NAN),
+    lambda sim: Store(sim, capacity=_NAN),
+    lambda sim: Container(sim, capacity=_NAN),
+    lambda sim: Container(sim, 10).put(_NAN),
+    lambda sim: Container(sim, 10).get(_NAN),
+], ids=["resource", "store", "container", "put", "get"])
+def test_nan_capacity_and_amount_rejected(build):
+    # NaN fails every comparison, so a ``<= 0`` guard let it through: a NaN
+    # put then queued a putter that could never settle.
+    with pytest.raises(SimulationError):
+        build(Simulator())

@@ -1,29 +1,26 @@
 """The shipped tree must be simlint-clean — violations fail the suite.
 
-This is the local mirror of the ``make analyze`` CI gate: any PR that
+This is the local mirror of the ``make lint`` CI gate: any PR that
 introduces a wall-clock read, global randomness, a non-event yield, an
 unbalanced resource grant — or, via the whole-program passes, code that
 makes any of those *reachable* from a simulation process — in
 ``src/repro`` fails here with file:line pointers and call chains.
 """
 
-import json
 import os
 import subprocess
 import sys
 
 import repro
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.rules import default_rules
-from repro.analysis.runner import analyze_paths, lint_paths
+from repro.analysis.runner import analyze_paths
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__))
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(repro.__file__))))
-BASELINE = os.path.join(REPO_ROOT, ".simlint-baseline.json")
 
 
 def test_src_repro_is_simlint_clean():
-    violations = lint_paths([PACKAGE_DIR], default_rules())
+    violations = analyze_paths([PACKAGE_DIR], default_rules()).violations
     assert not violations, "simlint violations in src/repro:\n" + "\n".join(
         violation.render() for violation in violations)
 
@@ -35,17 +32,10 @@ def test_src_repro_is_clean_under_whole_program_analysis():
         "whole-program findings in src/repro:\n" + "\n".join(
             violation.render() for violation in result.violations))
     # The graph actually covered the tree — this is not a vacuous pass.
-    assert result.stats.functions > 500
-    assert result.stats.call_edges > 300
-    assert result.stats.entry_points > 50
-
-
-def test_committed_baseline_is_empty():
-    """src/repro carries no grandfathered findings: the committed baseline
-    must stay empty so CI gates on *every* finding, not just new ones."""
-    with open(BASELINE, encoding="utf-8") as handle:
-        data = json.load(handle)
-    assert data["findings"] == {}
+    graph = CallGraph(result.modules)
+    assert len(graph.functions) > 500
+    assert sum(len(edges) for edges in graph.edges.values()) > 300
+    assert len(graph.entry_points()) > 50
 
 
 def test_cli_exits_zero_on_shipped_tree():
@@ -53,7 +43,6 @@ def test_cli_exits_zero_on_shipped_tree():
     src_root = os.path.dirname(PACKAGE_DIR)
     env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", PACKAGE_DIR,
-         "--baseline", BASELINE],
+        [sys.executable, "-m", "repro.analysis", PACKAGE_DIR],
         capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stdout + result.stderr
