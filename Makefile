@@ -24,9 +24,9 @@ bench-smoke:
 	PYTHONPATH=src python -m pytest benchmarks/e2e -q
 	python3 benchmarks/e2e/bench.py --workload churn --runs 1 --check
 
-# The paper benches (benchmarks/test_*.py): each asserts the shape of one
-# paper claim.  Needs pytest-benchmark; timing is disabled, only the
-# asserts run.
+# The paper bench (benchmarks/test_paper_claims.py): every experiment's
+# CLAIMS at the default profile, each claim asserted.  Needs
+# pytest-benchmark; timing is disabled, only the claims are checked.
 paper-benches:
 	PYTHONPATH=src python -m pytest benchmarks --ignore=benchmarks/e2e --benchmark-disable -q
 

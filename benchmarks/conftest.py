@@ -1,22 +1,15 @@
 """Benchmark-suite plumbing: collect rendered tables, print them at the end.
 
-Each benchmark regenerates one of the paper's tables/figures and records the
-rendered rows via the ``report`` fixture; the terminal-summary hook prints
-everything after the pytest-benchmark timing table, so
-``pytest benchmarks/ --benchmark-only`` output can be compared to the paper
-directly.
+The paper bench regenerates each of the paper's tables/figures and records
+the rendered rows and claim lines via the ``report`` fixture; the
+terminal-summary hook prints everything after the pytest-benchmark timing
+table, so ``pytest benchmarks/ --benchmark-only`` output can be compared
+to the paper directly.
 """
 
 import pytest
 
 _reports = []
-
-
-@pytest.fixture(scope="session")
-def cells():
-    """One table of measured sweep points for the whole bench session:
-    Figs 11-13 share their TestDFSIO cells, so each cell runs once."""
-    return {}
 
 
 @pytest.fixture

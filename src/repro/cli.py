@@ -10,7 +10,9 @@ Commands:
 * ``run all [--quick|--paper] [--ablations] [--jobs N] [--seed S]`` — the
   full paper-comparison report: every experiment of the ``paper`` group
   (plus the ablation and extension studies with ``--ablations``) in
-  registry order, each with its host wall time and headline numbers.
+  registry order, each with its host wall time and one ``->`` line per
+  paper claim (measured, promised and paper values; see
+  :mod:`repro.experiments.claims`).
 * ``profile <name> [--quick|--paper] [--memory] [--json OUT]``
   — run one experiment under the profiling harness (cProfile + kernel
   counters; see :mod:`repro.perf`) and print the hot functions and the
@@ -26,14 +28,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.experiments import registry
-
-#: name -> one-line description, in report order (mirrors the registry).
-EXPERIMENTS: Dict[str, str] = {
-    spec.name: spec.title for spec in registry.specs()
-}
 
 
 def _profile(args) -> str:
@@ -43,9 +40,9 @@ def _profile(args) -> str:
 
 
 def cmd_list(_args) -> int:
-    width = max(len(name) for name in EXPERIMENTS)
-    for name, description in EXPERIMENTS.items():
-        print(f"  {name.ljust(width)}  {description}")
+    width = max(len(name) for name in registry.names())
+    for spec in registry.specs():
+        print(f"  {spec.name.ljust(width)}  {spec.title}")
     print("\nrun one with: python -m repro run <name>   (or 'all'; "
           "--jobs N parallelizes sweeps)")
     return 0
@@ -72,9 +69,8 @@ def _run_report(args) -> int:
         print(f"\n{'=' * 72}\n{spec.figure}  (wall time {elapsed:.1f}s)\n"
               f"{'=' * 72}")
         print(result.render())
-        if spec.headline is not None:
-            for line in spec.headline(result):
-                print(f"  {line}")
+        for claim in spec.resolve_claims():
+            print(f"  {claim.verdict(result)[1]}")
     return 0
 
 

@@ -133,10 +133,7 @@ class ClusterConfig:
 
 
 class ClusterClients:
-    """The one façade for obtaining HDFS clients from a cluster.
-
-    Replaces the old trio ``cluster.client()`` / ``cluster.client_for(vm)``
-    / ``cluster.vanilla_client()`` with a single explicit call::
+    """The one façade for obtaining HDFS clients from a cluster::
 
         cluster.clients.get()                        # auto, primary VM
         cluster.clients.get(mode="vanilla")          # plain TCP path

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from repro.cluster import VirtualHadoopCluster
+from repro.experiments.claims import Claim, above, equal
 from repro.experiments.common import load_dataset
 from repro.metrics.report import Table
 from repro.storage.content import PatternSource
@@ -66,3 +67,12 @@ def run(file_bytes: int = 32 << 20,
     """Run the experiment; see the module docstring for the setup."""
     cells = {size: _measure(size, file_bytes) for size in cache_sizes}
     return CacheSizeResult(cells, file_bytes)
+
+
+CLAIMS = (
+    Claim("cache-size-cliff", "re-read MB/s, 64MB / 4MB host cache",
+          lambda r: r.cells[64 << 20] / r.cells[4 << 20], above(2.0)),
+    Claim("cache-size-flat-beyond-working-set", "re-read MB/s, unbounded - "
+          "64MB host cache",
+          lambda r: r.cells[float("inf")] - r.cells[64 << 20], equal(0)),
+)

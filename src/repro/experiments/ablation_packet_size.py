@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from repro.cluster import VirtualHadoopCluster
+from repro.experiments.claims import Claim, above, at_least
 from repro.experiments.common import load_dataset
 from repro.metrics.report import Table
 from repro.storage.content import PatternSource
@@ -63,3 +64,13 @@ def run(file_bytes: int = 32 << 20,
                for packet in packet_sizes}
     vread_reference = _measure(None, True, file_bytes)
     return PacketSizeResult(vanilla, vread_reference)
+
+
+CLAIMS = (
+    Claim("packet-size-tiny-loses", "vanilla MB/s, 256KB / 16KB packets",
+          lambda r: r.vanilla[256 * 1024] / r.vanilla[16 * 1024], above(1.5)),
+    Claim("packet-size-huge-no-better", "vanilla MB/s, 256KB - 4MB packets",
+          lambda r: r.vanilla[256 * 1024] - r.vanilla[4 << 20], at_least(0)),
+    Claim("packet-size-vread-beats-best", "vRead - best vanilla MB/s",
+          lambda r: r.vread_reference - max(r.vanilla.values()), above(0)),
+)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.cluster import VirtualHadoopCluster
+from repro.experiments.claims import Claim, above
 from repro.experiments.common import load_dataset
 from repro.metrics.report import Table
 from repro.storage.content import PatternSource
@@ -34,11 +35,6 @@ class RingResult:
         for (slots, chunk), mbps in self.cells.items():
             table.add_row(slots, f"{chunk >> 10}KB", f"{mbps:.0f}")
         return table.render()
-
-    def best(self) -> Tuple[Tuple[int, int], float]:
-        """The best-performing (slots, chunk) cell."""
-        key = max(self.cells, key=self.cells.get)
-        return key, self.cells[key]
 
 
 def _measure(slots: int, chunk_bytes: int, file_bytes: int) -> float:
@@ -67,3 +63,17 @@ def run(file_bytes: int = 32 << 20,
         for chunk in chunk_sizes:
             cells[(slots, chunk)] = _measure(slots, chunk, file_bytes)
     return RingResult(cells)
+
+
+CLAIMS = (
+    Claim("ring-doorbell-overhead", "1024 slots, 256KB - 64KB chunk MB/s",
+          lambda r: r.cells[(1024, 256 * 1024)] - r.cells[(1024, 64 * 1024)],
+          above(0)),
+    # With 1024 x 4KiB slots a 4MB chunk fills the whole ring, which
+    # serializes the daemon and the guest.
+    Claim("ring-whole-ring-chunk", "1024 slots, 256KB - 4MB chunk MB/s",
+          lambda r: r.cells[(1024, 256 * 1024)] - r.cells[(1024, 4 << 20)],
+          above(0)),
+    Claim("ring-every-cell-reads", "min re-read MB/s of any geometry",
+          lambda r: min(r.cells.values()), above(0)),
+)

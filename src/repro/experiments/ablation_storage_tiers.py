@@ -15,7 +15,9 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.cluster import VirtualHadoopCluster
-from repro.experiments.common import FigureResult, load_dataset
+from repro.experiments.claims import Claim, above
+from repro.experiments.common import (FigureResult, load_dataset,
+                                      pct_improvement)
 from repro.storage.content import PatternSource
 
 #: Device classes swept, slowest first (the x-axis).
@@ -71,3 +73,16 @@ def assemble(values: Dict[Tuple[str, str], Tuple[float, float]],
         notes=f"{file_bytes >> 20}MB file; cold = after "
               "drop_all_caches, re-read = host page cache warm",
     )
+
+
+def _cold_gain(r: FigureResult, tier: str) -> float:
+    return pct_improvement(r.value("vanilla cold", tier),
+                           r.value("vRead cold", tier))
+
+
+CLAIMS = (
+    # Fast media shift the bottleneck from the device to the CPU, where
+    # vRead wins.
+    Claim("tiers-nvme-gains-most", "vRead cold gain, NVMe - HDD (pts)",
+          lambda r: _cold_gain(r, "nvme") - _cold_gain(r, "hdd"), above(0)),
+)

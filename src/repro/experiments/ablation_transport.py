@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.cluster import VirtualHadoopCluster
+from repro.experiments.claims import Claim, above, at_least
 from repro.experiments.common import (
     daemon_view, load_dataset)
 from repro.metrics.report import Table
@@ -72,3 +73,16 @@ def run(file_bytes: int = 32 << 20) -> TransportResult:
         "rdma": _measure("rdma", file_bytes),
         "tcp": _measure("tcp", file_bytes),
     })
+
+
+CLAIMS = (
+    Claim("transport-rdma-cold", "cold-read MB/s, RDMA - TCP",
+          lambda r: r.transports["rdma"][0] - r.transports["tcp"][0],
+          at_least(0)),
+    Claim("transport-rdma-warm", "re-read MB/s, RDMA - TCP",
+          lambda r: r.transports["rdma"][1] - r.transports["tcp"][1],
+          at_least(0)),
+    # "it consumes more CPU cycles for remote reads" (footnote 2).
+    Claim("transport-tcp-overpays", "daemon CPU, TCP / RDMA",
+          lambda r: r.cpu_ratio, above(1.5)),
+)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.cluster import VirtualHadoopCluster
+from repro.experiments.claims import (Claim, above, at_least, least_gap,
+                                      least_step)
 from repro.experiments.common import FigureResult, load_dataset
 from repro.storage.content import PatternSource
 from repro.workloads.filereader import FileReadBenchmark
@@ -82,3 +84,15 @@ def run(file_bytes: int = 16 << 20,
             notes=f"file={file_bytes >> 20}MB, quad-core @2.0GHz",
         )
     return Fig02Result(figures["no_cache"], figures["cache"])
+
+
+CLAIMS = (
+    Claim("fig02-inter-vm-slower", "min inter-VM - local delay (ms)",
+          lambda r: min(least_gap(f.series["inter-VM"], f.series["local"])
+                        for f in (r.no_cache, r.cache)), above(0)),
+    Claim("fig02-delay-grows", "min cold inter-VM delay step (ms)",
+          lambda r: least_step(r.no_cache.series["inter-VM"]), at_least(0)),
+    Claim("fig02-cached-copy-gap", "cached 1MB inter-VM / local delay",
+          lambda r: (r.cache.value("inter-VM", "1MB")
+                     / r.cache.value("local", "1MB")), above(3.0)),
+)

@@ -11,6 +11,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.cluster import VirtualHadoopCluster
+from repro.experiments import paper_data
+from repro.experiments.claims import (Claim, above, at_least, between,
+                                      least_gap, least_step)
 from repro.experiments.common import FigureResult
 from repro.workloads.netperf import NetperfRR
 
@@ -48,3 +51,18 @@ def run(request_sizes: Sequence[int] = REQUEST_SIZES,
         unit="tx/s",
         notes=f"duration={duration}s per point, quad-core, lookbusy 85%",
     )
+
+
+def _max_drop_pct(r: FigureResult) -> float:
+    return max((two - four) / two * 100.0
+               for two, four in zip(r.series["2vms"], r.series["4vms"]))
+
+
+CLAIMS = (
+    Claim("fig03-contention-drop", "min 2-VM - 4-VM rate (tx/s)",
+          lambda r: least_gap(r.series["2vms"], r.series["4vms"]), above(0)),
+    Claim("fig03-max-drop", "max 4-VM rate drop (%)", _max_drop_pct,
+          between(5.0, 50.0), paper=paper_data.FIG3_RATE_DROP_PCT),
+    Claim("fig03-rate-falls-with-size", "min 2-VM rate fall per size (tx/s)",
+          lambda r: least_step(r.series["2vms"][::-1]), at_least(0)),
+)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from repro.cluster import VirtualHadoopCluster
+from repro.experiments import paper_data
+from repro.experiments.claims import Claim, above, least_gap
 from repro.experiments.common import FigureResult, load_dataset
 from repro.storage.content import PatternSource
 from repro.workloads.filereader import FileReadBenchmark
@@ -89,3 +91,26 @@ def run(file_bytes: int = 16 << 20,
             notes=f"file={file_bytes >> 20}MB, co-located read @2.0GHz",
         )
     return Fig09Result(figures["no_cache"], figures["cache"])
+
+
+CLAIMS = (
+    Claim("fig09-vread-faster", "min vanilla - vRead delay (ms)",
+          lambda r: min(least_gap(f.series[f"vanilla-{vms}"],
+                                  f.series[f"vRead-{vms}"])
+                        for f in (r.no_cache, r.cache)
+                        for vms in ("2vms", "4vms")), above(0)),
+    Claim("fig09-contention-slows-vanilla", "min vanilla 4-VM - 2-VM delay "
+          "(ms)", lambda r: min(least_gap(f.series["vanilla-4vms"],
+                                          f.series["vanilla-2vms"])
+                                for f in (r.no_cache, r.cache)), above(0)),
+    Claim("fig09-vanilla-contention-gap", "cached 1MB vanilla delay, 4 / 2 "
+          "VMs", lambda r: (r.cache.value("vanilla-4vms", "1MB")
+                            / r.cache.value("vanilla-2vms", "1MB")),
+          above(1.05)),
+    Claim("fig09-reduction-2vms", "cached 1MB delay reduction, 2 VMs (%)",
+          lambda r: r.reduction_pct("2vms", True, "1MB"), above(20.0),
+          paper=paper_data.FIG9_DELAY_REDUCTION_2VMS_PCT),
+    Claim("fig09-reduction-4vms", "cached 1MB delay reduction, 4 VMs (%)",
+          lambda r: r.reduction_pct("4vms", True, "1MB"), above(25.0),
+          paper=paper_data.FIG9_DELAY_REDUCTION_4VMS_PCT),
+)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from repro.experiments.claims import Claim, above, least_gap
 from repro.experiments.common import FigureResult
 from repro.experiments.dfsio_sweep import (CellKey, DfsioCell, panels,
                                            points, run_point)
@@ -42,3 +43,19 @@ def assemble(results: Dict[CellKey, DfsioCell], file_bytes: int = 32 << 20,
     return Fig12Result(panels(results, "Fig 12", "DFSIO CPU time", "ms",
                               ("read_cpu_ms", "reread_cpu_ms"), file_bytes,
                               n_files))
+
+
+CLAIMS = (
+    Claim("fig12-vread-saves-cpu", "min vanilla - vRead CPU ms, all cells",
+          lambda r: min(least_gap(p.series[f"vanilla-{vms}vms"],
+                                  p.series[f"vRead-{vms}vms"])
+                        for p in r.panels.values() for vms in (2, 4)),
+          above(0)),
+    Claim("fig12-faster-clock-less-time", "min vanilla 2-VM CPU ms, slowest "
+          "- fastest clock", lambda r: min(
+              p.series["vanilla-2vms"][0] - p.series["vanilla-2vms"][-1]
+              for p in r.panels.values()), above(0)),
+    Claim("fig12-cpu-saving", "co-located read CPU saving @2.0GHz (%)",
+          lambda r: r.cpu_saving_pct("colocated", "read", "2.0GHz", 2),
+          above(20.0)),
+)

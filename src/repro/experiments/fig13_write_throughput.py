@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.experiments.claims import Claim, above, below
 from repro.experiments.common import FigureResult
 from repro.experiments.dfsio_sweep import (MODES, SCENARIOS, CellKey,
                                            DfsioCell, run_point)
@@ -43,3 +44,15 @@ def assemble(results: Dict[CellKey, DfsioCell], file_bytes: int = 32 << 20,
         unit="MBps",
         notes=f"{n_files} x {file_bytes >> 20}MB files @2.0GHz",
     )
+
+
+CLAIMS = (
+    Claim("fig13-negligible-overhead", "max |vRead write overhead| (%)",
+          lambda r: max(abs((vanilla - vread) / vanilla * 100.0)
+                        for vanilla, vread in zip(r.series["vanilla"],
+                                                  r.series["vRead"])),
+          below(5.0)),
+    Claim("fig13-writes-progress", "min write MBps of any bar",
+          lambda r: min(min(values) for values in r.series.values()),
+          above(0)),
+)

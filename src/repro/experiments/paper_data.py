@@ -1,21 +1,21 @@
-"""Paper-reported values, for side-by-side comparison in EXPERIMENTS.md.
+"""Paper-reported values: the only home of the paper's numbers.
 
 Numbers read off the paper's text and charts (chart values are approximate
-eyeball readings; text values are exact).  These are used by benchmarks to
-check the *shape* of reproduced results — who wins and by roughly what
-factor — never to fabricate outputs.
+eyeball readings; text values are exact).  The experiments' claims
+(:mod:`repro.experiments.claims`) and the Table 2/3 renderers read them,
+to print the paper's value next to the reproduced one; the claims check
+the *shape* of reproduced results (who wins and by roughly what factor),
+never the paper's exact value.
 """
 
 # ----------------------------------------------------------------- headline
 #: "Hadoop's throughput can be improved by up to 60% for read and 150% for
 #: re-read" (abstract / Section 1).
-MAX_READ_IMPROVEMENT_PCT = 60.0
 MAX_REREAD_IMPROVEMENT_PCT = 150.0
 
 # -------------------------------------------------------------------- Fig 3
 #: "the TCP transaction rate drops by 20%" with 2 extra lookbusy VMs.
 FIG3_RATE_DROP_PCT = 20.0
-FIG3_REQUEST_SIZES = (32 * 1024, 64 * 1024, 128 * 1024)
 
 # ----------------------------------------------------------------- Figs 6-8
 #: "we save around 40% of the CPU cycles on the client side and around 65%
@@ -26,16 +26,12 @@ FIG6_DATANODE_CPU_SAVING_PCT = 65.0
 #: (remote read with RDMA).
 FIG7_CLIENT_CPU_SAVING_PCT = 45.0
 FIG7_DATANODE_CPU_SAVING_PCT = 50.0
-#: Fig 8: TCP daemons — total still slightly below vanilla, but the
-#: daemons' user-space TCP (vRead-net) is less efficient than vhost-net.
-FIG8_TOTAL_STILL_LOWER = True
 
 # -------------------------------------------------------------------- Fig 9
 #: "vRead can reduce the data access delay of the co-located HDFS reads by
 #: up to 40% for the 2 VMs scenario and up to 50% for the 4 VMs scenario".
 FIG9_DELAY_REDUCTION_2VMS_PCT = 40.0
 FIG9_DELAY_REDUCTION_4VMS_PCT = 50.0
-FIG9_REQUEST_SIZES = (64 * 1024, 1 << 20, 4 << 20)
 
 # ------------------------------------------------------------------- Fig 11
 #: "around 20% throughput improvement ... on powerful processors (3.2GHz)";
@@ -45,14 +41,6 @@ FIG11_COLOCATED_READ_IMPROVEMENT_3_2GHZ_PCT = 20.0
 FIG11_COLOCATED_READ_IMPROVEMENT_1_6GHZ_PCT = 41.0
 #: "the vanilla case's throughput drops by up to 22% for the 4 VMs scenario"
 FIG11_VANILLA_4VMS_DROP_PCT = 22.0
-#: "vRead has up to 65% improvement over the vanilla case in the 4 VMs
-#: scenario".
-FIG11_4VMS_IMPROVEMENT_PCT = 65.0
-
-# ------------------------------------------------------------------- Fig 13
-#: Write throughput: "the overhead of updating the information of the mount
-#: directory is negligible".
-FIG13_WRITE_OVERHEAD_NEGLIGIBLE_PCT = 5.0  # tolerance we hold ourselves to
 
 # ------------------------------------------------------------------- Table 2
 TABLE2_HBASE = {

@@ -5,8 +5,11 @@ name, the paper figure/table it reproduces, its parameter grid per size
 profile (``quick`` / ``default`` / ``paper``), and the lazily-imported
 module that builds it.  The CLI (``python -m repro run <name>``), the full
 report (``python -m repro run all``) and the parallel runner
-(:mod:`repro.experiments.runner`) are all thin clients of this table; it
-is the only entry point (the old per-module ``main()`` shims are gone).
+(:mod:`repro.experiments.runner`) are all thin clients of this table.
+
+Each experiment's paper claims live in its module (``CLAIMS``, or the
+attribute named by the spec's ``claims``; :mod:`repro.experiments.claims`),
+and paper numbers only in :mod:`repro.experiments.paper_data`.
 
 A sweep (``sweep=True``) declares its grid once, in its own module, as
 three functions: ``points(**params)`` lists the independent points (one
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import import_module
 from types import ModuleType
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Size profiles accepted by :meth:`ExperimentSpec.params`.
 PROFILES = ("quick", "default", "paper")
@@ -55,8 +58,8 @@ class ExperimentSpec:
     params: Callable[[str], Dict[str, Any]] = field(default=lambda p: {})
     #: the module declares ``points`` / ``run_point`` / ``assemble``.
     sweep: bool = False
-    #: result -> headline lines for the report (paper-comparison numbers).
-    headline: Optional[Callable[[Any], List[str]]] = None
+    #: attribute in module holding the experiment's claims, if it has any.
+    claims: str = "CLAIMS"
     #: report group: "paper" always runs; "ablation"/"extension" run with
     #: --ablations; "other" is CLI-only.
     group: str = "paper"
@@ -74,6 +77,10 @@ class ExperimentSpec:
         """Import and return the builder (a sweep's ``run_point``)."""
         return getattr(self._import(),
                        "run_point" if self.sweep else self.func)
+
+    def resolve_claims(self) -> Tuple[Any, ...]:
+        """Import and return the experiment's paper claims (maybe none)."""
+        return tuple(getattr(self._import(), self.claims, ()))
 
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}
@@ -111,53 +118,6 @@ def specs(groups: Optional[Sequence[str]] = None) -> List[ExperimentSpec]:
     return [spec for spec in _REGISTRY.values() if spec.group in groups]
 
 
-# ------------------------------------------------------------------- headlines
-def _headline_breakdown(paper_client: str, paper_serving: str):
-    def headline(result) -> List[str]:
-        return [f"-> client CPU saving {result.client_saving_pct():.1f}% "
-                f"({paper_client}), datanode-side "
-                f"{result.serving_saving_pct():.1f}% ({paper_serving})"]
-    return headline
-
-
-def _headline_fig09(result) -> List[str]:
-    lines = []
-    for vms, paper in (("2vms", 40), ("4vms", 50)):
-        best = max(result.reduction_pct(vms, cached, size)
-                   for cached in (False, True)
-                   for size in result.no_cache.x_values)
-        lines.append(f"-> max delay reduction {vms}: {best:.1f}% "
-                     f"(paper: up to {paper}%)")
-    return lines
-
-
-def _headline_fig11(result) -> List[str]:
-    best_reread = max(
-        result.improvement_pct(scenario, "reread", freq, vms)
-        for scenario in ("colocated", "remote", "hybrid")
-        for freq in ("1.6GHz", "2.0GHz", "3.2GHz")
-        for vms in (2, 4))
-    return [
-        f"-> co-located read improvement: "
-        f"{result.improvement_pct('colocated', 'read', '3.2GHz', 2):.1f}% "
-        f"@3.2GHz (paper ~20%), "
-        f"{result.improvement_pct('colocated', 'read', '1.6GHz', 2):.1f}% "
-        f"@1.6GHz (paper ~41%)",
-        f"-> best re-read improvement: {best_reread:.1f}% "
-        f"(paper: up to 150%)",
-    ]
-
-
-def _headline_fig12(result) -> List[str]:
-    return [f"-> co-located read CPU saving @2.0GHz 2vms: "
-            f"{result.cpu_saving_pct('colocated', 'read', '2.0GHz', 2):.1f}%"]
-
-
-def _headline_table3(result) -> List[str]:
-    return [f"-> Hive -{result.hive_reduction_pct:.1f}% (paper -21.3%), "
-            f"Sqoop -{result.sqoop_reduction_pct:.1f}% (paper -11.3%)"]
-
-
 # ---------------------------------------------------------------- registration
 register(ExperimentSpec(
     name="fig02", figure="Fig 2",
@@ -176,45 +136,41 @@ register(ExperimentSpec(
     title="CPU breakdown, co-located read",
     module="cpu_breakdowns", func="run_fig06",
     params=lambda p: {"file_bytes": _sizes(p)["file_bytes"]},
-    headline=_headline_breakdown("paper ~40%", "paper ~65%")))
+    claims="FIG06_CLAIMS"))
 
 register(ExperimentSpec(
     name="fig07", figure="Fig 7",
     title="CPU breakdown, remote read (RDMA)",
     module="cpu_breakdowns", func="run_fig07",
     params=lambda p: {"file_bytes": _sizes(p)["file_bytes"]},
-    headline=_headline_breakdown("paper ~45%", "paper >50%")))
+    claims="FIG07_CLAIMS"))
 
 register(ExperimentSpec(
     name="fig08", figure="Fig 8",
     title="CPU breakdown, remote read (TCP daemons)",
     module="cpu_breakdowns", func="run_fig08",
     params=lambda p: {"file_bytes": _sizes(p)["file_bytes"]},
-    headline=_headline_breakdown(
-        "paper: totals still below vanilla", "same")))
+    claims="FIG08_CLAIMS"))
 
 register(ExperimentSpec(
     name="fig09", figure="Fig 9",
     title="data access delay, vanilla vs vRead",
     module="fig09_vread_delay",
-    params=lambda p: {"file_bytes": _sizes(p)["delay_bytes"]},
-    headline=_headline_fig09))
+    params=lambda p: {"file_bytes": _sizes(p)["delay_bytes"]}))
 
 register(ExperimentSpec(
     name="fig11", figure="Fig 11",
     title="TestDFSIO throughput (6 panels x 3 frequencies)",
     module="fig11_dfsio_throughput",
     params=lambda p: {"file_bytes": _sizes(p)["file_bytes"]},
-    sweep=True,
-    headline=_headline_fig11))
+    sweep=True))
 
 register(ExperimentSpec(
     name="fig12", figure="Fig 12",
     title="TestDFSIO CPU running time",
     module="fig12_dfsio_cputime",
     params=lambda p: {"file_bytes": _sizes(p)["file_bytes"]},
-    sweep=True,
-    headline=_headline_fig12))
+    sweep=True))
 
 register(ExperimentSpec(
     name="fig13", figure="Fig 13",
@@ -233,8 +189,7 @@ register(ExperimentSpec(
     name="table3", figure="Table 3",
     title="Hive select + Sqoop export",
     module="table3_hive_sqoop",
-    params=lambda p: {"n_rows": 65_536 if p == "quick" else 262_144},
-    headline=_headline_table3))
+    params=lambda p: {"n_rows": 65_536 if p == "quick" else 262_144}))
 
 register(ExperimentSpec(
     name="ablation-direct-read", figure="Ablation: direct read (§6)",
@@ -266,24 +221,12 @@ register(ExperimentSpec(
     module="ablation_cache_size", group="ablation",
     params=lambda p: {"file_bytes": _sizes(p)["file_bytes"]}))
 
-
-def _headline_tiers(result) -> List[str]:
-    from repro.experiments.common import pct_improvement
-    hdd = pct_improvement(result.value("vanilla cold", "hdd"),
-                          result.value("vRead cold", "hdd"))
-    nvme = pct_improvement(result.value("vanilla cold", "nvme"),
-                           result.value("vRead cold", "nvme"))
-    return [f"-> cold-read gain {hdd:.1f}% on HDD vs {nvme:.1f}% on NVMe "
-            f"(fast media shifts the bottleneck to CPU, where vRead wins)"]
-
-
 register(ExperimentSpec(
     name="ablation-storage-tiers", figure="Ablation: storage tiers",
     title="HDD / SSD / NVMe device sweep, vanilla vs vRead",
     module="ablation_storage_tiers", group="ablation",
     params=lambda p: {"file_bytes": _sizes(p)["file_bytes"]},
-    sweep=True,
-    headline=_headline_tiers))
+    sweep=True))
 
 register(ExperimentSpec(
     name="scale-clients", figure="Extension: client scale-out",
@@ -300,18 +243,6 @@ register(ExperimentSpec(
                       "file_bytes": (2 if p == "quick" else 4) * _MB},
     sweep=True))
 
-
-def _headline_churn(result) -> List[str]:
-    top = result.x_values[-1]
-    return [
-        f"-> churn={top!r} p99: vanilla "
-        f"{result.value('vanilla p99', top):.2f}ms vs vRead "
-        f"{result.value('vRead p99', top):.2f}ms "
-        f"(degraded {result.value('vRead degraded %', top):.1f}% of the "
-        f"window before re-probe recovered the fast path)",
-    ]
-
-
 register(ExperimentSpec(
     name="scale-churn", figure="Extension: cluster churn",
     title="elastic membership churn under read load (extension)",
@@ -321,21 +252,7 @@ register(ExperimentSpec(
                          else ("none", "migrate", "full")),
         "file_bytes": (1 if p == "quick" else 2) * _MB,
         "duration": {"quick": 1.0, "default": 2.0, "paper": 3.0}[p]},
-    sweep=True,
-    headline=_headline_churn))
-
-def _headline_load_sweep(result) -> List[str]:
-    top = result.x_values[-1]
-    return [
-        f"-> @{top:g} req/s/tenant healthy p99: "
-        f"vanilla {result.report('vanilla', 'healthy', top).worst_p99_ms():.2f}ms "
-        f"vs vRead {result.report('vRead', 'healthy', top).worst_p99_ms():.2f}ms",
-        f"-> chaos violation time @{top:g}: vanilla "
-        f"{result.report('vanilla', 'chaos', top).violation_time_fraction() * 100:.0f}% "
-        f"vs vRead "
-        f"{result.report('vRead', 'chaos', top).violation_time_fraction() * 100:.0f}%",
-    ]
-
+    sweep=True))
 
 register(ExperimentSpec(
     name="load-sweep", figure="Extension: open-loop load sweep",
@@ -350,8 +267,7 @@ register(ExperimentSpec(
         "request_bytes": (128 if p == "quick" else 256) << 10,
         "deadline_ms": 2.0,
         "arrival_kind": "bursty"},
-    sweep=True,
-    headline=_headline_load_sweep))
+    sweep=True))
 
 register(ExperimentSpec(
     name="scale-tenants", figure="Extension: tenant scale-out",

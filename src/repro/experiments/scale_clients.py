@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster import VirtualHadoopCluster, paper_fig10
+from repro.experiments.claims import Claim, above
 from repro.experiments.common import FigureResult
 from repro.sim import AllOf
 from repro.storage.content import PatternSource
@@ -84,3 +85,20 @@ def assemble(values: Dict[Tuple[str, int], float],
         unit="MBps",
         notes=f"{file_bytes >> 20}MB per client, quad-core host @2.0GHz",
     )
+
+
+def _gaps(r: FigureResult) -> List[float]:
+    """vRead's advantage over vanilla at each client count (%)."""
+    return [(vread / vanilla - 1) * 100
+            for vanilla, vread in zip(r.series["vanilla"], r.series["vRead"])]
+
+
+CLAIMS = (
+    Claim("scale-clients-vread-wins", "min vRead advantage (%)",
+          lambda r: min(_gaps(r)), above(0)),
+    Claim("scale-clients-gap-widens", "advantage at most - 1.5 x at fewest "
+          "clients (pts)", lambda r: _gaps(r)[-1] - _gaps(r)[0] * 1.5,
+          above(0)),
+    Claim("scale-clients-vread-scales", "vRead MB/s, most / fewest clients",
+          lambda r: r.series["vRead"][-1] / r.series["vRead"][0], above(1.5)),
+)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.cluster import VirtualHadoopCluster
+from repro.experiments.claims import Claim, above
 from repro.experiments.common import load_dataset
 from repro.hostmodel.costs import CostModel
 from repro.metrics.report import Table
@@ -46,17 +47,6 @@ class SensitivityResult:
         for (knob, scale), (cold, warm) in self.cells.items():
             table.add_row(knob, f"x{scale}", f"{cold:+.1f}", f"{warm:+.1f}")
         return table.render()
-
-    def always_positive(self) -> bool:
-        """True if vRead wins under every perturbation."""
-        return all(cold > 0 and warm > 0
-                   for cold, warm in self.cells.values())
-
-    def spread(self, knob: str) -> float:
-        """Max-min cold improvement across this knob's scales."""
-        values = [cold for (k, _), (cold, _) in self.cells.items()
-                  if k == knob]
-        return max(values) - min(values)
 
 
 def _improvements(costs: CostModel, file_bytes: int) -> Tuple[float, float]:
@@ -99,3 +89,22 @@ def run(knobs: Sequence[str] = DEFAULT_KNOBS,
                 **{knob: getattr(base, knob) * scale})
             cells[(knob, scale)] = _improvements(costs, file_bytes)
     return SensitivityResult(cells)
+
+
+def _cold_gain_gap(knob: str, first: float, then: float):
+    """Measure: cold-read gain with ``knob`` at ``first`` minus ``then``."""
+    return lambda r: r.cells[(knob, first)][0] - r.cells[(knob, then)][0]
+
+
+CLAIMS = (
+    Claim("sensitivity-always-positive", "min cold or warm vRead gain (%)",
+          lambda r: min(min(cell) for cell in r.cells.values()), above(0)),
+    # Costlier vRead copies must shrink its advantage, a costlier vanilla
+    # path must grow it.
+    Claim("sensitivity-vread-copy-cost", "cold gain, vRead copies x0.5 - x2 "
+          "(pts)", _cold_gain_gap("vread_copy_cycles_per_byte", 0.5, 2.0),
+          above(0)),
+    Claim("sensitivity-checksum-cost", "cold gain, checksums x2 - x0.5 (pts)",
+          _cold_gain_gap("hdfs_checksum_cycles_per_byte", 2.0, 0.5),
+          above(0)),
+)

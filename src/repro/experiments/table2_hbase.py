@@ -12,6 +12,7 @@ from typing import Dict, Tuple
 
 from repro.cluster import VirtualHadoopCluster
 from repro.experiments import paper_data
+from repro.experiments.claims import Claim, above, below
 from repro.hostmodel.frequency import GHZ_2_0
 from repro.metrics.report import Table
 from repro.workloads.hbase import HBaseTable
@@ -85,3 +86,26 @@ def run(n_rows: int = 32_768, row_bytes: int = 1024,
     vanilla = _measure(False, n_rows, row_bytes, rows_per_region)
     vread = _measure(True, n_rows, row_bytes, rows_per_region)
     return Table2Result({op: (vanilla[op], vread[op]) for op in OPERATIONS})
+
+
+_gain = Table2Result.improvement_pct
+_PAPER_GAINS = [paper_data.TABLE2_HBASE[op][2] for op in OPERATIONS]
+
+CLAIMS = (
+    Claim("table2-every-op-gains", "min vRead gain of any operation (%)",
+          lambda r: min(_gain(r, op) for op in OPERATIONS), above(5.0),
+          paper=min(_PAPER_GAINS)),
+    Claim("table2-gains-plausible", "max vRead gain of any operation (%)",
+          lambda r: max(_gain(r, op) for op in OPERATIONS), below(60.0),
+          paper=max(_PAPER_GAINS)),
+    # The paper's ordering: random reads, most diluted by per-get
+    # region-server work, gain least.
+    Claim("table2-random-below-scan", "scan - random-read gain (pts)",
+          lambda r: _gain(r, "scan") - _gain(r, "random-read"), above(0)),
+    Claim("table2-random-below-sequential", "sequential - random-read gain "
+          "(pts)", lambda r: _gain(r, "sequential-read")
+          - _gain(r, "random-read"), above(0)),
+    Claim("table2-scan-moves-bulk", "vanilla scan / sequential-read MB/s",
+          lambda r: r.rows["scan"][0] / r.rows["sequential-read"][0],
+          above(5.0)),
+)

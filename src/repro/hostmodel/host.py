@@ -60,11 +60,6 @@ class PhysicalHost:
 
     # --------------------------------------------------------------- storage
     @property
-    def ssd(self) -> StorageDevice:
-        """Legacy name for :attr:`storage` (pre-profile code paths)."""
-        return self.storage
-
-    @property
     def storage_tier(self) -> str:
         """The device-class name of this host's storage ("ssd", ...)."""
         return self.storage.profile.tier

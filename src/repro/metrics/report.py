@@ -1,8 +1,10 @@
 """ASCII rendering of tables and figure series.
 
-Benchmarks use these helpers to print the same rows/series the paper
-reports, so ``pytest benchmarks/ --benchmark-only`` output can be compared
-to the paper side by side.
+Experiment results render through these helpers to print the same
+rows/series the paper reports, so ``python -m repro run all`` and the
+paper bench (``make paper-benches``), each with one line per paper claim
+(:mod:`repro.experiments.claims`), can be compared to the paper side by
+side.
 """
 
 from __future__ import annotations

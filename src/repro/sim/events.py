@@ -190,7 +190,9 @@ class Timeout(Event):
         advances the clock or runs callbacks.  Used by deadline timers whose
         guarded operation already completed, so a won race does not stretch
         the simulation's drain horizon.  Only call this when no process
-        still depends on the timeout firing.
+        still depends on the timeout firing: in sanitize mode, cancelling a
+        timer that a live process still waits on raises
+        :class:`SanitizerError`, since that process would never resume.
 
         The callbacks are released too, or the cancelled timer would pin
         the finished race (the condition, the sub-process, its frames and
@@ -202,6 +204,8 @@ class Timeout(Event):
         already fired does nothing: it is no longer on the heap.
         """
         if not self._cancelled and self.callbacks is not None:
+            if self.sim.sanitizer is not None:
+                self.sim.sanitizer.check_cancel(self)
             self._cancelled = True
             self.callbacks = []
             self.sim._withdraw(self)

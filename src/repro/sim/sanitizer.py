@@ -3,7 +3,7 @@
 The kernel's determinism and resource-safety claims are enforced by
 convention in normal runs; with ``Simulator(sanitize=True)`` (or the
 ``REPRO_SANITIZE=1`` environment variable) they become machine-checked
-invariants.  The sanitizer watches four hazard classes:
+invariants.  The sanitizer watches these hazard classes:
 
 * **non-monotonic clock** — an event popped from the heap with a timestamp
   earlier than the current simulation time;
@@ -14,6 +14,8 @@ invariants.  The sanitizer watches four hazard classes:
   :class:`~repro.sim.resources.Resource` slot is still held;
 * **deadlock** — the event heap drains while requests are still queued on
   a resource (the waiters can never be woken);
+* **stranding cancel** — ``Timeout.cancel()`` on a timer that a live
+  process still waits on (that process could never resume);
 * **lock-order inversion** — a process requests resource B while holding
   resource A after some process has already acquired A while holding B
   (any cycle length).  This is the lockdep-style *would-be* deadlock
@@ -87,6 +89,18 @@ class Sanitizer:
             f"{event!r} triggered twice: {detail}; "
             f"triggered again at t={self.sim.now:g} by process "
             f"{self.current_process_name()!r}")
+
+    def check_cancel(self, timer: Event) -> None:
+        """Refuse to cancel ``timer`` while a live process waits on it
+        (a cancelled timer never fires, so that process would be stranded
+        silently: the quiescence check sees only resource waiters)."""
+        for callback in timer.callbacks:
+            waiter = getattr(callback, "__self__", None)
+            if getattr(waiter, "_target", None) is timer:
+                raise SanitizerError(
+                    f"{timer!r} cancelled at t={self.sim.now:g} while "
+                    f"process {waiter.name!r} still waits on it; that "
+                    f"process would never resume")
 
     def non_monotonic_error(self, when: float) -> SanitizerError:
         return SanitizerError(

@@ -244,11 +244,6 @@ class StorageDevice:
             self.bytes_written += nbytes
             self.requests += 1
 
-    @property
-    def queue_depth(self) -> int:
-        """Requests currently waiting for a service slot (legacy name)."""
-        return self._channel.queue_length
-
     def __repr__(self) -> str:
         return (f"<StorageDevice {self.name} tier={self.profile.tier} "
                 f"read={self.bytes_read}B written={self.bytes_written}B "

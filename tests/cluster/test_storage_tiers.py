@@ -43,7 +43,6 @@ def test_default_cluster_keeps_legacy_ssd_name():
     host = cluster.hosts[0]
     assert host.storage.profile.tier == "ssd"
     assert host.storage.name == f"{host.name}.ssd"
-    assert host.ssd is host.storage  # legacy alias
     assert host.storage_tier == "ssd"
 
 

@@ -8,7 +8,6 @@ from scheduling order.
 
 import pytest
 
-from repro.cli import EXPERIMENTS
 from repro.cluster import VirtualHadoopCluster
 from repro.experiments import registry, runner
 
@@ -109,8 +108,7 @@ def test_root_seed_changes_the_sweep():
 
 
 def test_every_cli_experiment_is_registered_with_profiles():
-    for name in EXPERIMENTS:
-        spec = registry.get(name)
+    for spec in registry.specs():
         assert callable(spec.resolve())
         for profile in registry.PROFILES:
             assert isinstance(spec.params(profile), dict)

@@ -1,8 +1,9 @@
-"""Smoke + shape tests for every experiment runner at tiny scale.
+"""Smoke tests for every experiment runner at tiny scale.
 
-The benchmarks exercise the full-size shape checks; these tests verify the
-runners' structure, determinism, and basic directionality quickly enough
-for the unit suite.
+The direction of every result is a paper claim, checked at the quick
+profile by ``test_claims.py``; these tests verify that the runners honor
+their non-default parameters, and their structure, determinism and error
+paths, quickly enough for the unit suite.
 """
 
 import pytest
@@ -25,27 +26,24 @@ from repro.experiments.dfsio_sweep import DfsioCell, run_cell
 TINY = 4 << 20  # 4MB datasets keep these tests fast
 
 
-def test_fig02_structure_and_direction():
+def test_fig02_structure():
     result = fig02_motivation_delay.run(file_bytes=TINY,
                                         request_sizes=(64 * 1024, 1 << 20))
     assert result.no_cache.x_values == ["64KB", "1MB"]
     for figure in (result.no_cache, result.cache):
         assert set(figure.series) == {"inter-VM", "local"}
-        for i in range(2):
-            assert figure.series["inter-VM"][i] > figure.series["local"][i]
+        assert all(len(values) == 2 for values in figure.series.values())
 
 
 def test_fig03_structure():
     result = fig03_iothread_sync.run(request_sizes=(32 * 1024,),
                                      duration=0.05)
     assert set(result.series) == {"2vms", "4vms"}
-    assert result.series["4vms"][0] < result.series["2vms"][0]
+    assert result.x_values == ["32KB"]
 
 
-def test_fig06_savings_positive():
+def test_fig06_renders_both_panels():
     result = run_fig06(file_bytes=TINY)
-    assert result.client_saving_pct() > 0
-    assert result.serving_saving_pct() > 0
     rendered = result.render()
     assert "Fig 6(a)" in rendered and "Fig 6(b)" in rendered
 
@@ -53,8 +51,11 @@ def test_fig06_savings_positive():
 def test_fig09_reductions():
     result = fig09_vread_delay.run(file_bytes=TINY,
                                    request_sizes=(1 << 20,))
-    assert result.reduction_pct("2vms", False, "1MB") > 0
-    assert result.reduction_pct("4vms", True, "1MB") > 0
+    assert result.cache.x_values == ["1MB"]
+    vanilla = result.cache.value("vanilla-4vms", "1MB")
+    vread = result.cache.value("vRead-4vms", "1MB")
+    assert (result.reduction_pct("4vms", True, "1MB")
+            == (vanilla - vread) / vanilla * 100.0)
 
 
 def test_dfsio_cell_and_cache():
@@ -79,54 +80,51 @@ def test_fig11_tiny_sweep():
     result = runner.run_experiment("fig11", params={
         "frequencies": (2.0e9,), "file_bytes": TINY, "n_files": 1})
     assert len(result.panels) == 6
-    assert result.improvement_pct("colocated", "read", "2.0GHz", 2) > 0
+    assert all(panel.x_values == ["2.0GHz"]
+               for panel in result.panels.values())
 
 
-def test_fig13_negligible_overhead():
+def test_fig13_one_scenario():
     result = runner.run_experiment("fig13", params={
         "scenarios": ("colocated",), "file_bytes": TINY, "n_files": 1})
-    vanilla = result.series["vanilla"][0]
-    vread = result.series["vRead"][0]
-    assert abs(vanilla - vread) / vanilla < 0.05
+    assert result.x_values == ["co-located"]
+    assert {name: len(values) for name, values in result.series.items()} \
+        == {"vanilla": 1, "vRead": 1}
 
 
 def test_table2_tiny():
     result = table2_hbase.run(n_rows=2048, rows_per_region=1024)
-    for operation in table2_hbase.OPERATIONS:
-        assert result.improvement_pct(operation) > 0
+    assert tuple(result.rows) == table2_hbase.OPERATIONS
     assert "Table 2" in result.render()
 
 
 def test_table3_tiny():
     result = table3_hive_sqoop.run(n_rows=16_384, rows_per_file=8_192)
-    assert result.hive_reduction_pct > 0
-    assert result.sqoop_reduction_pct > 0
     assert "Table 3" in result.render()
 
 
 def test_ablation_direct_read_tiny():
     result = ablation_direct_read.run(file_bytes=TINY)
-    assert result.warm_penalty_pct > 30
-    assert result.modes["bypass host FS"][2] == 0  # no refreshes
+    assert set(result.modes) == {"mounted host FS", "bypass host FS"}
 
 
 def test_ablation_transport_tiny():
     result = ablation_transport.run(file_bytes=TINY)
-    assert result.cpu_ratio > 1.0
+    assert (result.cpu_ratio
+            == result.transports["tcp"][2] / result.transports["rdma"][2])
 
 
 def test_ablation_ring_tiny():
     result = ablation_ring.run(file_bytes=TINY,
                                chunk_sizes=(64 * 1024, 1 << 20),
                                ring_slots=(1024,))
-    assert len(result.cells) == 2
-    assert all(v > 0 for v in result.cells.values())
+    assert list(result.cells) == [(1024, 64 * 1024), (1024, 1 << 20)]
 
 
 def test_ablation_packet_size_tiny():
     result = ablation_packet_size.run(file_bytes=TINY,
                                       packet_sizes=(16 * 1024, 256 * 1024))
-    assert result.vanilla[256 * 1024] > result.vanilla[16 * 1024]
+    assert list(result.vanilla) == [16 * 1024, 256 * 1024]
 
 
 def test_experiments_are_deterministic():

@@ -82,7 +82,7 @@ def test_disk_outage_fails_over_to_healthy_replica():
     cluster.faults.arm()
     got = read_all(cluster, client, "/data")
     assert got.checksum() == payload.checksum()
-    assert cluster.hosts[0].ssd.io_errors >= 1
+    assert cluster.hosts[0].storage.io_errors >= 1
     assert cluster.fault_counters.get("recovery.replica-failover") >= 1
 
 

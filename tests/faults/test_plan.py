@@ -58,7 +58,7 @@ def test_injector_times_are_relative_to_arming():
     started = cluster.sim.now
     assert started > 0
     cluster.faults.arm()
-    ssd = cluster.hosts[0].ssd
+    ssd = cluster.hosts[0].storage
 
     def watch():
         assert ssd.latency_factor == 1.0  # not yet

@@ -49,13 +49,13 @@ def test_disk_outage_targets_host_of_datanode():
 
     def checker():
         yield cluster.sim.timeout(0.005)  # mid-outage
-        seen.append(cluster.datanodes[1].vm.host.ssd.failing)
+        seen.append(cluster.datanodes[1].vm.host.storage.failing)
 
     cluster.sim.process(proc())
     cluster.sim.process(checker())
     cluster.settle()
     assert seen == [True]
-    assert not cluster.datanodes[1].vm.host.ssd.failing
+    assert not cluster.datanodes[1].vm.host.storage.failing
 
 
 def test_image_fault_defaults_to_first_datanode():

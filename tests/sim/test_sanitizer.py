@@ -1,10 +1,12 @@
-"""Runtime sanitizer: deadlocks, leaks, double triggers, clock monotonicity."""
+"""Runtime sanitizer: deadlocks, leaks, double triggers, clock monotonicity,
+stranding cancels."""
 
 
 import pytest
 
 from repro.sim import (
     Event,
+    Interrupt,
     Lock,
     Resource,
     SanitizerError,
@@ -194,6 +196,68 @@ def test_non_monotonic_clock_detected():
     sim._push_entry((1.0, sim._seq + 1, rogue, sim._now))  # in the past
     with pytest.raises(SanitizerError, match="non-monotonic"):
         sim.run()
+
+
+# -------------------------------------------------------- stranding cancels
+def _waiter_and_canceller(sim):
+    """A process waiting on a 5s timer, and one cancelling it at t=1."""
+    timer = sim.timeout(5)
+    resumed = []
+
+    def waiter():
+        yield timer
+        resumed.append(sim.now)
+
+    def canceller():
+        yield sim.timeout(1)
+        timer.cancel()
+
+    sim.process(waiter())
+    sim.process(canceller())
+    return timer, resumed
+
+
+def test_cancel_under_a_waiting_process_is_diagnosed():
+    sim = Simulator(sanitize=True)
+    _waiter_and_canceller(sim)
+    with pytest.raises(SanitizerError) as excinfo:
+        sim.run()
+    message = str(excinfo.value)
+    assert "t=1" in message and "'waiter'" in message
+    assert "never resume" in message
+
+
+def test_cancel_strands_silently_without_sanitizer():
+    sim = Simulator()
+    timer, resumed = _waiter_and_canceller(sim)
+    sim.run()
+    assert timer._cancelled and resumed == [] and sim.now == 1.0
+
+
+def test_cancel_after_the_waiter_left_is_clean():
+    """An interrupted waiter detaches, so the timer may be cancelled."""
+    sim = Simulator(sanitize=True)
+    timer = sim.timeout(5)
+    timer.callbacks.append(lambda event: None)  # a plain listener stays
+    caught = []
+
+    def waiter():
+        try:
+            yield timer
+        except Interrupt:
+            caught.append(sim.now)
+
+    process = sim.process(waiter())
+
+    def interrupter():
+        yield sim.timeout(1)
+        process.interrupt()
+        yield sim.timeout(1)
+        timer.cancel()
+
+    sim.process(interrupter())
+    sim.run()
+    assert caught == [1.0] and timer._cancelled and sim.now == 2.0
 
 
 # ------------------------------------------------------------- end to end

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
+from repro.experiments import registry
 
 
 def test_list_prints_every_experiment(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in EXPERIMENTS:
-        assert name in out
+    for spec in registry.specs():
+        assert spec.name in out and spec.title in out
 
 
 def test_run_unknown_experiment_fails(capsys):
@@ -63,14 +64,12 @@ def test_profile_unknown_experiment_suggests(capsys):
 
 
 def test_registry_did_you_mean():
-    from repro.experiments import registry
-
     with pytest.raises(KeyError, match="did you mean 'fig13'"):
         registry.get("fig1")
 
 
 def _stub_report(monkeypatch):
-    """Record ``run all``'s runner calls; results are stubs, no headlines."""
+    """Record ``run all``'s runner calls; results are stubs, no claims."""
     import dataclasses
 
     from repro.experiments import registry, runner
@@ -88,7 +87,7 @@ def _stub_report(monkeypatch):
     real_specs = registry.specs
     monkeypatch.setattr(runner, "run_experiment", run_experiment)
     monkeypatch.setattr(registry, "specs", lambda groups=None: [
-        dataclasses.replace(spec, headline=None)
+        dataclasses.replace(spec, claims="NO_SUCH_ATTRIBUTE")
         for spec in real_specs(groups)])
     return calls, real_specs
 
@@ -111,6 +110,17 @@ def test_run_all_ablations_widens_the_report(monkeypatch, capsys):
     assert [call[0] for call in calls] == [
         spec.name for spec in specs(("paper", "ablation", "extension"))]
     assert {call[1:4] for call in calls} == {("paper", 1, 0)}
+
+
+def test_run_all_prints_one_line_per_claim(monkeypatch, capsys):
+    fig03 = registry.get("fig03")
+    monkeypatch.setattr(registry, "specs", lambda groups=None: [fig03])
+    assert main(["run", "all", "--quick"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  -> ")]
+    assert [line.split(":")[0] for line in lines] == [
+        f"  -> {claim.id}" for claim in fig03.resolve_claims()]
+    assert all(line.endswith(" holds") for line in lines)
 
 
 def test_run_all_rejects_json_and_ablations_needs_all(capsys, tmp_path):

@@ -39,7 +39,7 @@ def test_cold_read_pays_device_time_warm_does_not(single_host_bed):
     bed.run(bed.sim.process(proc()))   # cold: SSD
     bed.run(bed.sim.process(proc()))   # warm: host cache
     assert durations[1] < durations[0] / 2
-    assert vm.host.ssd.bytes_read >= 1 << 20
+    assert vm.host.storage.bytes_read >= 1 << 20
 
 
 def test_read_charges_qemu_io_thread(single_host_bed):
@@ -65,16 +65,16 @@ def test_write_reaches_ssd_and_warms_host_cache(single_host_bed):
         yield from vm.virtio_blk.write(("img", 4), 0, 64 * 1024)
 
     bed.run(bed.sim.process(write()))
-    assert vm.host.ssd.bytes_written >= 64 * 1024
+    assert vm.host.storage.bytes_written >= 64 * 1024
     assert vm.host.page_cache.contains(("img", 4), 0, 64 * 1024)
     # A subsequent read of the same range is a host-cache hit.
-    ssd_reads = vm.host.ssd.bytes_read
+    ssd_reads = vm.host.storage.bytes_read
 
     def read():
         yield from vm.virtio_blk.read(("img", 4), 0, 64 * 1024)
 
     bed.run(bed.sim.process(read()))
-    assert vm.host.ssd.bytes_read == ssd_reads
+    assert vm.host.storage.bytes_read == ssd_reads
 
 
 def test_distinct_keys_do_not_share_cache(single_host_bed):
@@ -85,6 +85,6 @@ def test_distinct_keys_do_not_share_cache(single_host_bed):
         yield from vm.virtio_blk.read(key, 0, 4096)
 
     bed.run(bed.sim.process(proc(("img", 5))))
-    ssd_reads = vm.host.ssd.bytes_read
+    ssd_reads = vm.host.storage.bytes_read
     bed.run(bed.sim.process(proc(("img", 6))))
-    assert vm.host.ssd.bytes_read > ssd_reads
+    assert vm.host.storage.bytes_read > ssd_reads

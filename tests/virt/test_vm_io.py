@@ -53,10 +53,10 @@ def test_cold_read_hits_disk_warm_read_does_not(single_host_bed, vm):
         yield from vm.read_file("/data/f")
 
     bed.run(bed.sim.process(read_once()))
-    cold_disk_bytes = host.ssd.bytes_read
+    cold_disk_bytes = host.storage.bytes_read
     assert cold_disk_bytes >= 1 << 20
     bed.run(bed.sim.process(read_once()))
-    assert host.ssd.bytes_read == cold_disk_bytes  # warm: no device I/O
+    assert host.storage.bytes_read == cold_disk_bytes  # warm: no device I/O
 
 
 def test_warm_read_is_faster(single_host_bed, vm):
@@ -84,12 +84,12 @@ def test_drop_guest_cache_forces_virtio_but_host_cache_absorbs_disk(
         yield from vm.read_file("/data/f")
 
     bed.run(bed.sim.process(read_once()))
-    disk_after_cold = host.ssd.bytes_read
+    disk_after_cold = host.storage.bytes_read
     virtio_after_cold = vm.virtio_blk.bytes_read
     vm.drop_guest_cache()
     bed.run(bed.sim.process(read_once()))
     assert vm.virtio_blk.bytes_read > virtio_after_cold  # crossed virtio again
-    assert host.ssd.bytes_read == disk_after_cold        # host cache absorbed it
+    assert host.storage.bytes_read == disk_after_cold        # host cache absorbed it
 
 
 def test_full_cold_read_after_both_caches_dropped(single_host_bed, vm):
@@ -101,11 +101,11 @@ def test_full_cold_read_after_both_caches_dropped(single_host_bed, vm):
         yield from vm.read_file("/data/f")
 
     bed.run(bed.sim.process(read_once()))
-    disk_after_cold = host.ssd.bytes_read
+    disk_after_cold = host.storage.bytes_read
     vm.drop_guest_cache()
     host.drop_caches()
     bed.run(bed.sim.process(read_once()))
-    assert host.ssd.bytes_read == 2 * disk_after_cold
+    assert host.storage.bytes_read == 2 * disk_after_cold
 
 
 def test_read_charges_expected_categories(single_host_bed, vm):
@@ -142,7 +142,7 @@ def test_write_reaches_ssd_when_sync(single_host_bed, vm):
         yield from vm.write_file("/data/out", b"x" * 4096, sync=True)
 
     bed.run(bed.sim.process(proc()))
-    assert vm.host.ssd.bytes_written >= 4096
+    assert vm.host.storage.bytes_written >= 4096
 
 
 def test_write_nosync_skips_device(single_host_bed, vm):
@@ -152,7 +152,7 @@ def test_write_nosync_skips_device(single_host_bed, vm):
         yield from vm.write_file("/data/out", b"x" * 4096, sync=False)
 
     bed.run(bed.sim.process(proc()))
-    assert vm.host.ssd.bytes_written == 0
+    assert vm.host.storage.bytes_written == 0
 
 
 def test_written_data_is_cache_warm(single_host_bed, vm):
