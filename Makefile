@@ -1,6 +1,6 @@
 # Convenience targets for the vRead reproduction.
 
-.PHONY: install test lint chaos bench bench-smoke paper-benches kernel-smoke reference-check load-smoke storage-smoke churn-smoke profile bench-tables report paper-report quick-report demo clean
+.PHONY: install test lint chaos bench bench-smoke paper-benches reference-check load-smoke storage-smoke churn-smoke profile bench-tables report paper-report quick-report demo clean
 
 install:
 	python setup.py develop
@@ -29,11 +29,6 @@ bench-smoke:
 # pytest-benchmark; timing is disabled, only the claims are checked.
 paper-benches:
 	PYTHONPATH=src python -m pytest benchmarks --ignore=benchmarks/e2e --benchmark-disable -q
-
-# Event kernel and CPU model: their unit suites (the cancelled-timer
-# retention tests live in tests/sim) and the fast-vs-reference identity.
-kernel-smoke:
-	PYTHONPATH=src python -m pytest tests/sim tests/hostmodel tests/experiments/test_reference_equivalence.py -q
 
 # Every registry experiment at quick, once on the fast paths with sweeps
 # fanned out over two workers and once serially under REPRO_SANITIZE=1

@@ -343,11 +343,6 @@ class VirtualHadoopCluster:
             for vm in host.vms:
                 vm.drop_guest_cache()
 
-    def set_frequency(self, frequency_hz: float) -> None:
-        """cpufreq-set on every host."""
-        for host in self.hosts:
-            host.set_frequency(frequency_hz)
-
     # ------------------------------------------------------------------- data
     def write_dataset(self, path: str, source, favored=None,
                       spread: bool = False, replication: Optional[int] = None,

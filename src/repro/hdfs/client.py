@@ -342,7 +342,6 @@ class DfsOutputStream:
         self.closed = False
         self._block: Optional[Block] = None
         self._pipeline_connection = None
-        self.on_block_committed = None  # vRead hooks vRead_update here
 
     def write(self, content: Union[bytes, ByteSource]):
         """Generator: append ``content``, spilling into new blocks as needed."""
@@ -399,13 +398,10 @@ class DfsOutputStream:
         if not (isinstance(ack, Ack) and ack.ok):
             raise HdfsProtocolError(f"pipeline failed: {ack!r}")
         yield from client.namenode.rpc(client.vm)
-        block = self._block
-        client.namenode.commit_block(block)
+        client.namenode.commit_block(self._block)
         self._pipeline_connection.close()
         self._pipeline_connection = None
         self._block = None
-        if self.on_block_committed is not None:
-            yield from self.on_block_committed(block)
 
     def _check_open(self) -> None:
         if self.closed:

@@ -105,13 +105,13 @@ class _Burst:
     replay the reference loop's float arithmetic: identical left-folds,
     identical per-key read-modify-write sequences.
     :meth:`CpuScheduler._execute_fast` sets the cursor at the start of
-    each segment.
+    each segment; the clock and slice size are the scheduler's, fixed when
+    it was built, so the burst copies them once.
     """
 
     __slots__ = ("scheduler", "thread_name", "category", "proc", "timer",
-                 "armed_end", "arm_seq", "switch_end_wake", "t", "rem",
-                 "switch_seconds", "switch_done", "slice_cycles",
-                 "frequency_hz")
+                 "armed_end", "arm_seq", "t", "rem", "switch_seconds",
+                 "switch_done", "slice_cycles", "frequency_hz")
 
     def __init__(self, scheduler: "CpuScheduler", thread_name: str,
                  category: str, proc):
@@ -122,16 +122,12 @@ class _Burst:
         self.timer = None
         self.armed_end = 0.0
         self.arm_seq = 0
-        #: Timer armed at the dispatch-switch end (frequency-change demote):
-        #: the wake there re-folds at the new clock and must not preempt —
-        #: the reference loop never preempts at a switch boundary.
-        self.switch_end_wake = False
         self.t = 0.0
         self.rem = 0.0
         self.switch_seconds = 0.0
         self.switch_done = True
-        self.slice_cycles = 0.0
-        self.frequency_hz = 0.0
+        self.slice_cycles = scheduler._slice_cycles
+        self.frequency_hz = scheduler.frequency_hz
 
     def next_boundary(self) -> float:
         """Absolute end of the first uncommitted slice.
@@ -221,7 +217,11 @@ class _Burst:
 
 
 class CpuScheduler:
-    """FIFO-dispatch, round-robin-preemption scheduler over ``cores`` cores."""
+    """FIFO-dispatch, round-robin-preemption scheduler over ``cores`` cores.
+
+    The clock is fixed when the scheduler is built, as cpufreq pins it
+    before each of the paper's runs (``ClusterConfig.frequency_hz``).
+    """
 
     def __init__(self, sim: Simulator, cores: int, frequency_hz: float,
                  accounting: CpuAccounting, costs: Optional[CostModel] = None,
@@ -234,7 +234,10 @@ class CpuScheduler:
         self.cores = cores
         self.frequency_hz = frequency_hz
         self.accounting = accounting
-        self.costs = costs or CostModel()
+        self.costs = costs = costs or CostModel()
+        #: Cycles per time slice and seconds per context switch at the clock.
+        self._slice_cycles = costs.time_slice_seconds * frequency_hz
+        self._switch_seconds = costs.context_switch_cycles / frequency_hz
         if rng is None:
             seed = int.from_bytes(
                 hashlib.sha256(name.encode()).digest()[:8], "big")
@@ -289,22 +292,6 @@ class CpuScheduler:
     def busy_cores(self) -> int:
         return self.cores - self._free_cores
 
-    def set_frequency(self, frequency_hz: float) -> None:
-        """cpufreq-set: change the clock for all subsequent bursts."""
-        if frequency_hz <= 0:
-            raise SimulationError(f"frequency must be positive: {frequency_hz}")
-        if self._inflight:
-            # Segments were folded at the old clock; cut them at the end of
-            # the interval currently in progress so every *later* slice is
-            # re-folded at the new frequency, exactly where the reference
-            # loop (which reads the clock at each slice start) would.
-            self._demote_inflight(freq_change=True)
-        self.frequency_hz = frequency_hz
-
-    def seconds(self, cycles: float) -> float:
-        """Duration of ``cycles`` at the current clock."""
-        return cycles / self.frequency_hz
-
     # ------------------------------------------------------------- core pool
     def _acquire_core(self) -> Event:
         """Event that fires when a core is granted to the caller."""
@@ -345,22 +332,17 @@ class CpuScheduler:
             raise
 
     # -------------------------------------------------- coalesced bookkeeping
-    def _demote_inflight(self, freq_change: bool = False) -> None:
+    def _demote_inflight(self) -> None:
         """Reprogram every armed whole-burst timer to its next boundary.
 
         Boundaries up to and *including* now are committed first.  A
         demotion is triggered by an event created at the current instant
-        (a core waiter's grant, a governor call); the reference timer for
+        (a core waiter's grant); the reference timer for
         a boundary landing exactly at now was created a whole slice
         earlier, so it fires — charges, checks an as-yet-empty wait queue,
         and arms the next slice — before that triggering event.  The
         replacement timer therefore cuts at the *next* boundary, never at
         now.
-
-        ``freq_change`` demotes cut at the end of the interval currently
-        in progress — the dispatch switch or the current slice, whose
-        durations the reference loop had already fixed — because every
-        later slice must be re-folded at the new clock at the wake.
         """
         sim = self.sim
         now = sim._now
@@ -368,10 +350,6 @@ class CpuScheduler:
         for burst in self._inflight:
             if burst.timer is None:
                 continue  # between segments (preempt dance in progress)
-            if burst.switch_end_wake:
-                # Already waking at the earliest safe boundary; the wake
-                # re-folds with fresh clock/queue state.
-                continue
             if burst.armed_end == now:
                 # The timer fires at the current instant: it *is* the
                 # reference timer for this boundary, and its wake — later
@@ -394,23 +372,10 @@ class CpuScheduler:
         # the reference's order; _inflight (dispatch) order would not.
         candidates.sort(key=lambda burst: (burst.t, burst.arm_seq))
         for burst in candidates:
-            timer = burst.timer
-            if freq_change and not burst.switch_done:
-                boundary = burst.t + burst.switch_seconds
-                switch_end = True
-            elif freq_change and burst.rem > 0 and burst.t == now:
-                # Governor call lands exactly on a slice boundary: the
-                # next slice starts *now* at the new frequency (with the
-                # stale slice size, like the reference).  Wake at the
-                # current instant; the ordinary wake path re-folds so.
-                boundary = now
-                switch_end = False
-            else:
-                boundary = burst.next_boundary()
-                switch_end = False
+            boundary = burst.next_boundary()
             if boundary == burst.armed_end:
-                burst.switch_end_wake = switch_end
                 continue  # already slice-granular
+            timer = burst.timer
             # Take the listeners before cancelling: cancel() releases them.
             callbacks = timer.callbacks
             timer.cancel()
@@ -419,7 +384,6 @@ class CpuScheduler:
             replacement.callbacks = callbacks
             burst.timer = replacement
             burst.armed_end = boundary
-            burst.switch_end_wake = switch_end
             proc = burst.proc
             if proc is not None and proc._target is timer:
                 proc._target = replacement
@@ -474,17 +438,17 @@ class CpuScheduler:
                 tracer.record(self.sim.now, "sched", "dispatch",
                               thread=thread.name, cycles=cycles)
             on_core = True
+            freq = self.frequency_hz
+            switch_time = self._switch_seconds
+            slice_cycles = self._slice_cycles
             try:
                 # Pay the dispatch context switch (accounted as "others").
-                switch_time = self.seconds(self.costs.context_switch_cycles)
                 yield self.sim.timeout(switch_time)
                 self.accounting.charge(thread.name, OTHERS, switch_time)
 
-                slice_cycles = (self.costs.time_slice_seconds
-                                * self.frequency_hz)
                 while remaining > 0:
                     burst = min(remaining, slice_cycles)
-                    duration = self.seconds(burst)
+                    duration = burst / freq
                     yield self.sim.timeout(duration)
                     self.accounting.charge(thread.name, category, duration)
                     remaining -= burst
@@ -498,12 +462,8 @@ class CpuScheduler:
                         on_core = False
                         yield from self._acquire_core_or_abort()
                         on_core = True
-                        switch_time = self.seconds(
-                            self.costs.context_switch_cycles)
                         yield self.sim.timeout(switch_time)
                         self.accounting.charge(thread.name, OTHERS, switch_time)
-                        slice_cycles = (self.costs.time_slice_seconds
-                                        * self.frequency_hz)
             finally:
                 if on_core:
                     self._release_core()
@@ -575,8 +535,9 @@ class CpuScheduler:
             inflight.append(burst)
             try:
                 freq = self.frequency_hz
-                pending_switch = costs.context_switch_cycles / freq
-                slice_cycles = costs.time_slice_seconds * freq
+                switch_seconds = self._switch_seconds
+                slice_cycles = self._slice_cycles
+                pending_switch = switch_seconds
                 while True:
                     now = sim._now
                     burst.t = now
@@ -587,8 +548,6 @@ class CpuScheduler:
                     # which mints the (thread, "others") accounting key
                     # even when the value is 0.0.
                     burst.switch_done = False
-                    burst.slice_cycles = slice_cycles
-                    burst.frequency_hz = freq
                     if self._waiting:
                         # Born contended: arm only up to the first slice
                         # boundary, where the reference would preempt.
@@ -622,18 +581,6 @@ class CpuScheduler:
                     remaining = burst.rem
                     if remaining <= 0.0:
                         break
-                    if burst.switch_end_wake:
-                        # Frequency-change wake at the switch end: re-fold
-                        # the slices at the new clock; no preemption here
-                        # (the reference only preempts at slice ends).
-                        # Slice size is recomputed too — the reference
-                        # computes it after the switch yield, i.e. at the
-                        # already-changed frequency.
-                        burst.switch_end_wake = False
-                        freq = self.frequency_hz
-                        pending_switch = 0.0
-                        slice_cycles = costs.time_slice_seconds * freq
-                        continue
                     if self._waiting:
                         # Round-robin: yield the core, rejoin the queue
                         # tail.  The reacquisition context switch merges
@@ -646,13 +593,10 @@ class CpuScheduler:
                         on_core = False
                         yield from self._acquire_core_or_abort()
                         on_core = True
-                        freq = self.frequency_hz
-                        pending_switch = costs.context_switch_cycles / freq
-                        slice_cycles = costs.time_slice_seconds * freq
+                        pending_switch = switch_seconds
                     else:
-                        # Demoted without a contender left (frequency
-                        # change or drained queue): re-coalesce the rest.
-                        freq = self.frequency_hz
+                        # Demoted, but the queue drained before the
+                        # boundary: re-coalesce the rest.
                         pending_switch = 0.0
             finally:
                 if inflight[-1] is burst:

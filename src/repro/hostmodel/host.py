@@ -73,10 +73,6 @@ class PhysicalHost:
     def frequency_hz(self) -> float:
         return self.scheduler.frequency_hz
 
-    def set_frequency(self, frequency_hz: float) -> None:
-        """cpufreq-set: pin all cores to ``frequency_hz``."""
-        self.scheduler.set_frequency(frequency_hz)
-
     def thread(self, name: str) -> Thread:
         """Create a host-level schedulable thread (daemons, vhost, ...)."""
         return self.scheduler.thread(f"{self.name}.{name}")

@@ -175,9 +175,6 @@ class Lan:
             self._uplinks[rack] = uplink
         return uplink
 
-    def same_host(self, host_a, host_b) -> bool:
-        return host_a is host_b
-
     def distance(self, host_a, host_b) -> int:
         """HDFS-style network distance: 0 same host, 2 same rack, 4 cross."""
         return host_distance(host_a, host_b)

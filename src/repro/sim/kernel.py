@@ -124,19 +124,6 @@ class Simulator:
         self._seq += 1
         heappush(self._heap, (self._now + delay, self._seq, event, self._now))
 
-    def schedule_at(self, when: float, event: Event) -> None:
-        """Schedule a triggered event at absolute time ``when``.
-
-        Unlike :meth:`_enqueue` this avoids the ``now + (when - now)``
-        round-trip, so a re-armed timer lands *exactly* on a previously
-        computed fold boundary (float addition is not associative).
-        """
-        if not when >= self._now:  # also rejects NaN
-            raise SimulationError(
-                f"cannot schedule into the past ({when} < {self._now})")
-        self._seq += 1
-        heappush(self._heap, (when, self._seq, event, self._now))
-
     def _push_entry(self, entry) -> None:
         """Place a raw ``(when, seq, event, scheduled_at)`` entry directly.
 

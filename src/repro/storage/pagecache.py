@@ -71,10 +71,6 @@ class PageCache:
     def resident_pages(self) -> int:
         return len(self._pages) if self._bounded else self._resident
 
-    @property
-    def resident_bytes(self) -> int:
-        return self.resident_pages * PAGE_SIZE
-
     # ----------------------------------------------------------------- pages
     @staticmethod
     def page_span(offset: int, length: int) -> range:

@@ -90,11 +90,11 @@ def test_from_kwargs_rejects_unknown_keys_helpfully():
         VirtualHadoopCluster(utterly_bogus=True)
 
 
-def test_set_frequency_applies_to_all_hosts():
-    cluster = VirtualHadoopCluster(block_size=1 << 20, frequency_hz=GHZ_3_2)
-    assert all(host.frequency_hz == GHZ_3_2 for host in cluster.hosts)
-    cluster.set_frequency(GHZ_1_6)
-    assert all(host.frequency_hz == GHZ_1_6 for host in cluster.hosts)
+def test_frequency_hz_applies_to_all_hosts():
+    for freq in (GHZ_3_2, GHZ_1_6):
+        cluster = VirtualHadoopCluster(block_size=1 << 20, frequency_hz=freq)
+        assert len(cluster.hosts) > 1
+        assert all(host.frequency_hz == freq for host in cluster.hosts)
 
 
 def test_write_dataset_and_read_through_cluster_client():

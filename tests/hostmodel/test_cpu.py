@@ -154,22 +154,6 @@ def test_different_threads_do_not_serialize():
     assert finish == [pytest.approx(0.001), pytest.approx(0.001)]
 
 
-def test_set_frequency_scales_subsequent_bursts():
-    sim, sched, _ = make_sched(freq=2e9)
-    finish = []
-
-    def proc():
-        yield from sched.thread("a").run(2e6, "work")  # 1ms @ 2GHz
-        finish.append(sim.now)
-        sched.set_frequency(1e9)
-        yield from sched.thread("b").run(2e6, "work")  # 2ms @ 1GHz
-        finish.append(sim.now)
-
-    sim.process(proc())
-    sim.run()
-    assert finish == [pytest.approx(0.001), pytest.approx(0.003)]
-
-
 def test_scheduler_validation():
     sim = Simulator()
     acct = CpuAccounting()
@@ -177,9 +161,6 @@ def test_scheduler_validation():
         CpuScheduler(sim, 0, 1e9, acct)
     with pytest.raises(SimulationError):
         CpuScheduler(sim, 1, 0, acct)
-    sched = CpuScheduler(sim, 1, 1e9, acct)
-    with pytest.raises(SimulationError):
-        sched.set_frequency(-1)
 
 
 def test_accounting_total_equals_busy_time_no_contention():

@@ -50,11 +50,11 @@ def test_host_construction_defaults():
     assert host.nic is None
 
 
-def test_host_set_frequency():
+def test_host_frequency_fixed_at_construction():
     sim = Simulator()
-    host = PhysicalHost(sim, "host1", frequency_hz=GHZ_3_2)
-    host.set_frequency(GHZ_1_6)
-    assert host.frequency_hz == GHZ_1_6
+    for freq in (GHZ_3_2, GHZ_1_6):
+        host = PhysicalHost(sim, f"host-{freq:.0f}", frequency_hz=freq)
+        assert host.frequency_hz == host.scheduler.frequency_hz == freq
 
 
 def test_host_thread_names_are_prefixed():

@@ -2,8 +2,8 @@
 
 The fast path (whole-burst timers, lazy accounting folds, ceremony elision)
 and the slice-loop reference are run on the same randomized scenario —
-staggered bursts over shared cores, mid-burst interrupts, mid-run
-accounting probes, and a mid-run frequency change — and must agree
+staggered bursts over shared cores, mid-burst interrupts and mid-run
+accounting probes, at one of the paper's three clocks — and must agree
 *exactly* (float-equal, not approximately) on:
 
 * final simulated time and per-burst completion/interruption times,
@@ -12,7 +12,7 @@ accounting probes, and a mid-run frequency change — and must agree
 * the scheduler trace (dispatch/preempt/stacked events) and the
   stacked-wakeup counter (this exercises RNG-draw equivalence).
 
-Probe/interrupt/frequency instants carry an off-grid offset so they never
+Probe and interrupt instants carry an off-grid offset so they never
 land float-exactly on a slice-fold boundary: at an exact tie the two
 implementations may order an unrelated reader against the boundary charge
 differently (see the tie caveat in ``hostmodel/cpu.py``); real experiments
@@ -28,11 +28,12 @@ from hypothesis import strategies as st
 
 from repro.hostmodel.costs import CostModel
 from repro.hostmodel.cpu import CpuScheduler
+from repro.hostmodel.frequency import PAPER_FREQUENCIES
 from repro.metrics.accounting import CpuAccounting
 from repro.metrics.tracing import Tracer
 from repro.sim import Interrupt, Simulator
 
-# Short slices (100us = 200k cycles at 2GHz) so generated bursts span
+# Short slices (100us = 160k-320k cycles) so generated bursts span
 # multiple slices and the coalescing logic is actually exercised.
 COSTS = CostModel().with_overrides(time_slice_seconds=1e-4)
 
@@ -48,11 +49,11 @@ bursts_strategy = st.lists(
 
 
 def _run_scenario(sanitize, cores, n_threads, bursts, probe_times_us,
-                  interrupts, freq_change_us):
+                  interrupts, frequency_hz):
     sim = Simulator(sanitize=sanitize)
     assert (sim.sanitizer is not None) == sanitize
     acct = CpuAccounting()
-    sched = CpuScheduler(sim, cores, 2.0e9, acct, COSTS, name="equiv")
+    sched = CpuScheduler(sim, cores, frequency_hz, acct, COSTS, name="equiv")
     tracer = Tracer()
     sched.tracer = tracer
     threads = [sched.thread(f"t{i}") for i in range(n_threads)]
@@ -92,12 +93,6 @@ def _run_scenario(sanitize, cores, n_threads, bursts, probe_times_us,
                 target.interrupt("equivalence-test")
         sim.process(sniper())
 
-    if freq_change_us is not None:
-        def governor():
-            yield sim.timeout(freq_change_us * 1e-6 + SKEW)
-            sched.set_frequency(1.6e9)
-        sim.process(governor())
-
     sim.run()
     trace = tuple((event.time, event.category, event.name, event.fields)
                   for event in tracer.events())
@@ -118,21 +113,20 @@ def _run_scenario(sanitize, cores, n_threads, bursts, probe_times_us,
            st.tuples(st.integers(min_value=0, max_value=5),
                      st.integers(min_value=1, max_value=2500)),
            max_size=2),
-       freq_change_us=st.one_of(
-           st.none(), st.integers(min_value=1, max_value=2000)))
+       frequency_hz=st.sampled_from(PAPER_FREQUENCIES))
 # Regression: an accounting probe armed at t=0 landing float-exactly on a
 # slice-fold boundary must not see that boundary charged — the reference
 # fires the lower-seq probe before the slice timer (fixed via the kernel's
 # schedule-time tracking and _Burst.commit's observer_sched rule).
 @example(cores=1, n_threads=1,
          bursts=[(0, 0, 548001, "work"), (0, 0, 200000, "work")],
-         probe_times_us=[382], interrupts=[(0, 278)], freq_change_us=None)
+         probe_times_us=[382], interrupts=[(0, 278)], frequency_hz=2.0e9)
 @settings(max_examples=40, deadline=None)
 def test_fast_path_equivalent_to_slice_loop(cores, n_threads, bursts,
                                             probe_times_us, interrupts,
-                                            freq_change_us):
+                                            frequency_hz):
     reference = _run_scenario(True, cores, n_threads, bursts,
-                              probe_times_us, interrupts, freq_change_us)
+                              probe_times_us, interrupts, frequency_hz)
     fast = _run_scenario(False, cores, n_threads, bursts,
-                         probe_times_us, interrupts, freq_change_us)
+                         probe_times_us, interrupts, frequency_hz)
     assert fast == reference

@@ -1,6 +1,6 @@
 """Kernel fast paths: absolute timers, cancelled timers, occupancy stats.
 
-Covers ``schedule_at`` / ``AbsoluteTimeout`` exactness, the withdrawal of
+Covers ``AbsoluteTimeout`` exactness, the withdrawal of
 cancelled timers, the process-wide kernel counters behind ``python -m repro
 profile``, slotted event classes, and the bounded-``run`` quiescence
 regression (a bounded run that outlives every event must still report
@@ -16,25 +16,17 @@ from repro.sim.process import Process
 
 
 # ----------------------------------------------------------- absolute timers
-def test_schedule_at_lands_exactly():
+def test_absolute_timeout_lands_exactly():
     sim = Simulator()
     sim.timeout(0.3)
     sim.run()
-    # 0.3 + (0.7 - 0.3) != 0.7 in floats; schedule_at must not round-trip.
-    event = sim.event()
-    event._ok = True
-    event._value = None
-    sim.schedule_at(0.7, event)
+    # 0.3 + (0.9 - 0.3) != 0.9 in floats; the timer must not round-trip.
+    assert 0.3 + (0.9 - 0.3) != 0.9
+    fired = []
+    timer = AbsoluteTimeout(sim, 0.9)
+    timer.callbacks.append(lambda event: fired.append(sim.now))
     sim.run()
-    assert sim.now == 0.7
-
-
-def test_schedule_at_past_raises():
-    sim = Simulator()
-    sim.timeout(1.0)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_at(0.5, sim.event())
+    assert fired == [0.9]
 
 
 def test_absolute_timeout_fires_at_absolute_time():
