@@ -1,6 +1,6 @@
 # Convenience targets for the vRead reproduction.
 
-.PHONY: install test lint chaos bench bench-smoke paper-benches reference-check load-smoke storage-smoke churn-smoke profile bench-tables report paper-report quick-report demo clean
+.PHONY: install test lint bench bench-smoke paper-benches reference-check profile bench-tables report paper-report quick-report demo clean
 
 install:
 	python setup.py develop
@@ -10,10 +10,6 @@ test:
 
 lint:
 	PYTHONPATH=src python -m repro.analysis src/repro
-
-chaos:
-	PYTHONPATH=src python -m pytest tests/faults -q
-	PYTHONPATH=src python examples/failure_drill.py
 
 # End-to-end benchmark: five workloads, five run-level metrics, digest
 # pins (see benchmarks/e2e/README.md); bench-smoke is the CI profile.
@@ -58,18 +54,6 @@ reference-check:
 	done; \
 	echo "reference-check: $$same/$$total identical, $$pinned/$$total match their pinned digest"; \
 	test $$same -eq $$total && test $$pinned -eq $$total
-
-# Subsystem smokes: the load, tiered-storage and elastic-membership
-# suites, including their determinism and memory-flatness gates.
-load-smoke:
-	PYTHONPATH=src python -m pytest tests/load tests/metrics/test_sinks.py -q
-
-storage-smoke:
-	PYTHONPATH=src python -m pytest tests/storage tests/cluster/test_storage_tiers.py -q
-	PYTHONPATH=src python -m pytest tests/properties/test_zero_copy.py -k pagecache -q
-
-churn-smoke:
-	PYTHONPATH=src python -m pytest tests/cluster/test_membership.py tests/experiments/test_scale_churn.py -q
 
 # Usage: make profile [EXP=fig11] [PROFILE_FLAGS="--quick --memory"]
 EXP ?= fig11

@@ -54,12 +54,10 @@ class ClusterConfig:
     #: Extra hosts stay empty for auxiliary services (e.g. the MySQL box in
     #: the Sqoop experiment).  Layout knob (see ``n_hosts``).
     n_datanodes: Optional[int] = None
-    cores_per_host: int = 4
     frequency_hz: float = GHZ_2_0
     #: Total VMs per host including client/datanodes ("2vms" vs "4vms").
     #: Layout knob (see ``n_hosts``).
     total_vms_per_host: int = 2
-    lookbusy_utilization: float = 0.85
     #: HDFS block size (paper default 64 MB; shrink for quick runs).
     block_size: int = 64 * 1024 * 1024
     replication: int = 1
@@ -71,7 +69,6 @@ class ClusterConfig:
     vread_bypass_host_fs: bool = False
     #: ivshmem ring geometry + response chunking (ablation knobs).
     vread_ring_slots: int = 1024
-    vread_ring_slot_bytes: int = 4096
     vread_chunk_bytes: int = 1 << 20
     #: HDFS data-transfer packet size (None = HdfsConfig default).
     packet_bytes: Optional[int] = None
@@ -215,7 +212,6 @@ class VirtualHadoopCluster:
         for rack in self.topology.racks:
             for host_spec in rack.hosts:
                 host = PhysicalHost(self.sim, host_spec.name,
-                                    cores=config.cores_per_host,
                                     frequency_hz=config.frequency_hz,
                                     costs=self.costs,
                                     storage=(host_spec.storage
@@ -262,7 +258,7 @@ class VirtualHadoopCluster:
         for _, host_spec, vm_spec in self.topology.placements("background"):
             vm = self._place(host_spec, vm_spec)
             self.background_vms.append(vm)
-            self.lookbusy.append(Lookbusy(vm, config.lookbusy_utilization))
+            self.lookbusy.append(Lookbusy(vm))
 
         # --- vRead deployment.
         self.vread_manager: Optional[VReadManager] = None
@@ -272,7 +268,6 @@ class VirtualHadoopCluster:
                 rdma_link=self.rdma, transport=config.vread_transport,
                 bypass_host_fs=config.vread_bypass_host_fs,
                 ring_slots=config.vread_ring_slots,
-                ring_slot_bytes=config.vread_ring_slot_bytes,
                 channel_chunk_bytes=config.vread_chunk_bytes,
                 counters=self.fault_counters,
                 retry_rng=self.rng.stream("dfs-retry"))

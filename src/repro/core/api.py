@@ -19,6 +19,7 @@ the daemon answers, the library recovers and vRead reads resume.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from repro.core.channel import ChannelRequest, OpenResult, VReadChannel
@@ -48,6 +49,7 @@ class VReadLibrary:
         #: block name -> descriptor (paper: "each obtained descriptor is
         #: stored in a hash table in the user-level library").
         self.vfd_hash = VfdHashTable()
+        self._vfd_counter = itertools.count(3)  # 0/1/2 taken, by tradition
         self.opens = 0
         self.reads = 0
         self.fallback_denials = 0
@@ -165,7 +167,8 @@ class VReadLibrary:
         if not (isinstance(result, OpenResult) and result.ok):
             self.fallback_denials += 1
             return None
-        descriptor = VReadDescriptor(block_name, datanode_id, result.size)
+        descriptor = VReadDescriptor(next(self._vfd_counter), block_name,
+                                     datanode_id, result.size)
         self.vfd_hash.put(descriptor)
         self.opens += 1
         return descriptor

@@ -8,10 +8,7 @@ file reuse the descriptor.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional
-
-_vfd_numbers = itertools.count(3)  # 0/1/2 taken, as tradition demands
 
 
 class VReadDescriptor:
@@ -19,8 +16,9 @@ class VReadDescriptor:
 
     __slots__ = ("vfd", "block_name", "datanode_id", "size", "offset", "open")
 
-    def __init__(self, block_name: str, datanode_id: str, size: int):
-        self.vfd = next(_vfd_numbers)
+    def __init__(self, vfd: int, block_name: str, datanode_id: str,
+                 size: int):
+        self.vfd = vfd
         self.block_name = block_name
         self.datanode_id = datanode_id
         #: Size of the block file at open time.

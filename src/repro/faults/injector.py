@@ -51,21 +51,9 @@ class FaultInjector:
                 sim.process(self._run_timed(entry.at, entry.fault)))
         return self
 
-    def fire(self, trigger: str) -> int:
-        """Inject every fault registered under ``trigger``; returns count."""
-        matches = [entry.fault for entry in self.plan.triggered
-                   if entry.trigger == trigger]
-        sim = self.cluster.sim
-        for fault in matches:
-            self._processes.append(sim.process(self._run_one(fault)))
-        return len(matches)
-
     def _run_timed(self, delay: float, fault):
         if delay > 0:
             yield self.cluster.sim.timeout(delay)
-        yield from self._run_one(fault)
-
-    def _run_one(self, fault):
         self.injected += 1
         self.counters.count(f"fault.{fault.label}", what=fault.describe(),
                             at=self.cluster.sim.now)

@@ -5,14 +5,12 @@ A plan is a declarative schedule of typed faults::
     plan = (FaultPlan()
             .at(0.05, DatanodeCrash("dn1", duration=0.5))
             .at(0.10, RdmaFlap(duration=0.3))
-            .at(0.00, DiskLatencySpike("dn2", factor=8.0, duration=1.0))
-            .on("daemon-down", DaemonCrash("client")))
+            .at(0.00, DiskLatencySpike("dn2", factor=8.0, duration=1.0)))
 
 ``at`` times are **relative to arming** (see
 :class:`~repro.faults.injector.FaultInjector`), not absolute sim times —
 cluster construction and dataset loading advance the clock, and a plan
-should not care by how much.  ``on`` registers a named trigger fired
-manually (``injector.fire("daemon-down")``) or from test code.
+should not care by how much.
 
 Every fault is a small dataclass with an ``inject(cluster, counters)``
 generator: apply the fault, optionally hold it for ``duration`` sim
@@ -368,18 +366,11 @@ class _TimedEntry:
     fault: Fault
 
 
-@dataclass
-class _TriggerEntry:
-    trigger: str
-    fault: Fault
-
-
 class FaultPlan:
     """A declarative schedule of faults; consumed by ``FaultInjector``."""
 
     def __init__(self):
         self.timed: List[_TimedEntry] = []
-        self.triggered: List[_TriggerEntry] = []
 
     def at(self, seconds: float, fault: Fault) -> "FaultPlan":
         """Schedule ``fault`` ``seconds`` after the injector is armed."""
@@ -390,24 +381,14 @@ class FaultPlan:
         self.timed.append(_TimedEntry(seconds, fault))
         return self
 
-    def on(self, trigger: str, fault: Fault) -> "FaultPlan":
-        """Attach ``fault`` to a named trigger (``injector.fire(trigger)``)."""
-        if not isinstance(fault, Fault):
-            raise TypeError(f"expected a Fault, got {fault!r}")
-        self.triggered.append(_TriggerEntry(trigger, fault))
-        return self
-
     def __len__(self) -> int:
-        return len(self.timed) + len(self.triggered)
+        return len(self.timed)
 
     def describe(self) -> str:
         """Human-readable schedule, one line per entry."""
         lines = [f"t+{entry.at:g}s: {entry.fault.describe()}"
                  for entry in sorted(self.timed, key=lambda e: e.at)]
-        lines += [f"on {entry.trigger!r}: {entry.fault.describe()}"
-                  for entry in self.triggered]
         return "\n".join(lines) if lines else "(empty plan)"
 
     def __repr__(self) -> str:
-        return (f"<FaultPlan timed={len(self.timed)} "
-                f"triggered={len(self.triggered)}>")
+        return f"<FaultPlan timed={len(self.timed)}>"

@@ -75,6 +75,12 @@ def _check_timeout(name: str, value: Optional[float]) -> None:
             f"{name} must be None or finite and positive: {value}")
 
 
+def _check_non_negative(name: str, value: float) -> None:
+    """A backoff, jitter or blacklist time is finite and non-negative."""
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and non-negative: {value}")
+
+
 @dataclass
 class RetryPolicy:
     """Retry/backoff/blacklist knobs for ``DfsInputStream`` block fetches.
@@ -103,10 +109,9 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1: {self.max_attempts}")
-        if self.base_backoff < 0 or self.max_backoff < 0:
-            raise ValueError("backoff times must be non-negative")
-        if not 0 <= self.jitter:
-            raise ValueError(f"jitter must be non-negative: {self.jitter}")
+        for name in ("base_backoff", "max_backoff", "jitter",
+                     "blacklist_seconds"):
+            _check_non_negative(name, getattr(self, name))
         if not self.backoff_multiplier > 0:
             raise ValueError(f"backoff_multiplier must be positive: "
                              f"{self.backoff_multiplier}")
@@ -139,8 +144,9 @@ class VReadClientPolicy:
     reprobe_interval: float = 1.0
 
     def __post_init__(self):
-        if self.reprobe_interval <= 0:
-            raise ValueError(
-                f"reprobe_interval must be positive: {self.reprobe_interval}")
+        if not (self.reprobe_interval > 0
+                and math.isfinite(self.reprobe_interval)):
+            raise ValueError(f"reprobe_interval must be finite and positive: "
+                             f"{self.reprobe_interval}")
         _check_timeout("open_timeout", self.open_timeout)
         _check_timeout("read_timeout", self.read_timeout)

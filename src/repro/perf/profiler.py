@@ -119,8 +119,11 @@ def profile_experiment(experiment: str, profile: str = "quick",
     allocation is traced) and reports the peak traced heap plus the
     largest allocation sites.
     """
-    from repro.experiments import runner
+    from repro.experiments import registry, runner
 
+    # Import the experiment's modules before tracing starts: the traced
+    # peak measures what the run keeps alive, not one-time imports.
+    registry.get(experiment).resolve()
     tracemalloc = None
     if memory:
         import tracemalloc as tracemalloc_module

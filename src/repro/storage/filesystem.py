@@ -23,18 +23,15 @@ class FsError(OSError):
     """Filesystem errors (ENOENT, EEXIST, EISDIR, ...)."""
 
 
-_inode_numbers = itertools.count(1)
-
-
 class Inode:
     """A file or directory."""
 
     __slots__ = ("number", "kind", "children", "parts", "size", "nlink")
 
-    def __init__(self, kind: str):
+    def __init__(self, kind: str, number: int):
         if kind not in ("file", "dir"):
             raise ValueError(f"bad inode kind {kind!r}")
-        self.number = next(_inode_numbers)
+        self.number = number
         self.kind = kind
         #: Directory entries (name -> Inode) for directories.
         self.children: Optional[Dict[str, "Inode"]] = {} if kind == "dir" else None
@@ -136,10 +133,15 @@ class FileSystem:
 
     def __init__(self, name: str = "fs"):
         self.name = name
-        self.root = Inode("dir")
+        #: Inode numbers count up from 1 in creation order, per filesystem.
+        self._inode_counter = itertools.count(1)
+        self.root = self._new_inode("dir")
         #: Monotonic counter bumped on every namespace change (create/delete/
         #: rename).  LoopMount uses it to detect dentry-cache staleness.
         self.generation = 0
+
+    def _new_inode(self, kind: str) -> Inode:
+        return Inode(kind, next(self._inode_counter))
 
     # --------------------------------------------------------------- lookups
     def _walk(self, parts: List[str]) -> Inode:
@@ -207,7 +209,7 @@ class FileSystem:
                 if not node.is_dir:
                     raise FsError(f"not a directory on path: {part!r}")
                 if part not in node.children:
-                    node.children[part] = Inode("dir")
+                    node.children[part] = self._new_inode("dir")
                     self.generation += 1
                 node = node.children[part]
             if not node.is_dir:
@@ -216,7 +218,7 @@ class FileSystem:
         parent, name = self._parent_of(path)
         if name in parent.children:
             raise FsError(f"already exists: {path!r}")
-        inode = Inode("dir")
+        inode = self._new_inode("dir")
         parent.children[name] = inode
         self.generation += 1
         return inode
@@ -227,7 +229,7 @@ class FileSystem:
         parent, name = self._parent_of(path)
         if name in parent.children:
             raise FsError(f"already exists: {path!r}")
-        inode = Inode("file")
+        inode = self._new_inode("file")
         if content is not None:
             inode.append(content)
         parent.children[name] = inode

@@ -9,16 +9,15 @@ from repro.core.descriptors import VfdHashTable, VReadDescriptor
 
 # -------------------------------------------------------------- descriptors
 def test_descriptor_identity_and_state():
-    d1 = VReadDescriptor("blk_1", "dn1", size=100)
-    d2 = VReadDescriptor("blk_2", "dn1", size=200)
-    assert d1.vfd != d2.vfd
+    d1 = VReadDescriptor(3, "blk_1", "dn1", size=100)
+    assert d1.vfd == 3
     assert d1.open and d1.offset == 0
     assert d1.size == 100
 
 
 def test_vfd_hash_put_get_remove():
     table = VfdHashTable()
-    descriptor = VReadDescriptor("blk_7", "dn1", 10)
+    descriptor = VReadDescriptor(3, "blk_7", "dn1", 10)
     assert table.get("blk_7") is None
     table.put(descriptor)
     assert table.get("blk_7") is descriptor

@@ -87,13 +87,13 @@ def test_disk_outage_fails_over_to_healthy_replica():
 
 
 def test_guest_cache_drop_empties_the_cache():
-    plan = FaultPlan().on("drop", GuestCacheDrop("datanode1"))
+    plan = FaultPlan().at(0.0, GuestCacheDrop("datanode1"))
     cluster = VirtualHadoopCluster(block_size=BLOCK, faults=plan, seed=3)
     payload = PatternSource(512 * 1024, seed=5)
     load(cluster, "/data", payload, favored=["dn1"])
     vm = cluster.datanode_vms[0]
     assert vm.guest_cache.resident_pages > 0
-    cluster.faults.fire("drop")
+    cluster.faults.arm()
     cluster.settle()
     assert vm.guest_cache.resident_pages == 0
 

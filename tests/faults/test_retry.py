@@ -169,6 +169,25 @@ def test_retry_policy_rejects_non_positive_multiplier(value):
         RetryPolicy(backoff_multiplier=value)
 
 
+@pytest.mark.parametrize("field", ["base_backoff", "max_backoff", "jitter",
+                                   "blacklist_seconds"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_retry_policy_rejects_bad_non_negative_times(field, value):
+    # max_backoff=nan made backoff(0) NaN, so the first retry pass raised
+    # from sim.timeout(nan) mid-read; base_backoff=nan silently yielded
+    # max_backoff; blacklist_seconds=-1 disabled blacklisting and NaN
+    # blacklisted a datanode forever.
+    with pytest.raises(ValueError, match=field):
+        RetryPolicy(**{field: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_vread_client_policy_rejects_bad_reprobe_interval(value):
+    # A NaN interval never re-probed, leaving a degraded library degraded.
+    with pytest.raises(ValueError, match="reprobe_interval"):
+        VReadClientPolicy(reprobe_interval=value)
+
+
 @pytest.mark.parametrize("field", ["open_timeout", "read_timeout"])
 @pytest.mark.parametrize("value", [0.0, -0.25, float("nan"), float("inf")])
 def test_vread_client_policy_rejects_bad_timeouts(field, value):

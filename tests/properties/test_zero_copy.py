@@ -94,7 +94,7 @@ def test_fast_checksum_equals_legacy_checksum(case, chunk):
 def inode_and_window(draw):
     seed = draw(st.integers(min_value=0, max_value=2 ** 16))
     n_parts = draw(st.integers(min_value=1, max_value=4))
-    inode = Inode("file")
+    inode = Inode("file", 1)
     for i in range(n_parts):
         part_size = draw(st.integers(min_value=1, max_value=PAGE_SIZE + 33))
         style = draw(st.sampled_from(["pattern", "literal", "zero"]))
@@ -214,7 +214,7 @@ def _play(steps, chunk):
         if op == "append":
             _, kind, f, s, a, b = step
             if f >= len(files):
-                files.append(Inode("file"))
+                files.append(Inode("file", len(files) + 1))
                 f = len(files) - 1
             inode = files[f]
             if kind == "file" and written:
